@@ -67,11 +67,9 @@ from .extend import (
     OrthogonalityReport,
     ParamOracle,
     check_max_orthogonal,
-    extend_one,
     extend_to_ball,
     extract_params,
     oracle_from_params,
-    step_defects,
     zero_oracle,
 )
 from .quasimult import GeneratorAssignment, as_pdfunction, haagerup, quasi_mult
@@ -81,8 +79,6 @@ from .ncpoly import (
     SosCertificate,
     eval_unitaries,
     factor_sos,
-    nc_adjoint,
-    nc_mul,
     ncpolynomial_from_json,
     sample_positivity,
     split_squares,

@@ -25,7 +25,7 @@ from .extend import (
     trace_from_json,
     zero_oracle,
 )
-from .linalg import NotHermitianError, NotPsdError, Tolerance
+from .linalg import DEFAULT_TOL, NotHermitianError, NotPsdError, Tolerance
 from .ncpoly import (
     InfeasibleReport,
     certificate_to_json,
@@ -64,9 +64,17 @@ def _diagnostic(kind: str, detail: str, **extra):
     print(json.dumps(doc), file=sys.stderr)
 
 
+def _tol(args, default: float) -> float:
+    """The ``--tol`` value as given, or ``default`` when the option is absent."""
+    if args.tol is None:
+        return default
+    if not args.tol > 0:
+        raise CliInputError(f"--tol must be positive, got {args.tol}")
+    return args.tol
+
+
 def _tolerance(args) -> Tolerance:
-    eps = getattr(args, "tol", None)
-    return Tolerance(psd_eps=eps, rank_eps=1e-10) if eps else Tolerance()
+    return Tolerance(psd_eps=_tol(args, DEFAULT_TOL.psd_eps), rank_eps=DEFAULT_TOL.rank_eps)
 
 
 def _load_pdfun(path):
@@ -134,7 +142,7 @@ def cmd_params(args) -> int:
 
 def cmd_check_ortho(args) -> int:
     phi = _load_pdfun(args.input)
-    report = check_max_orthogonal(phi, args.level, tol=args.tol or 1e-8)
+    report = check_max_orthogonal(phi, args.level, tol=_tol(args, 1e-8))
     out = {
         "ok": report.ok,
         "worst_violation": report.worst_violation,
@@ -168,7 +176,7 @@ def cmd_radialize(args) -> int:
 
 def cmd_factor(args) -> int:
     p = ncpolynomial_from_json(jsonio.load_path(args.input))
-    result = factor_sos(p, tol=args.tol or 1e-8, max_iter=args.max_iter)
+    result = factor_sos(p, tol=_tol(args, 1e-8), max_iter=args.max_iter)
     if isinstance(result, InfeasibleReport):
         _diagnostic(
             "infeasible",

@@ -22,15 +22,15 @@ from . import jsonio
 from .cayley import clique_C, sigma_set
 from .completion import (
     DefectData,
-    GAMMA_NORM_SLACK,
     ContractionNormError,
     PartialBlockMatrix,
+    _coerce_gamma,
     analyze,
     complete,
     extract_gamma,
 )
 from .linalg import DEFAULT_TOL, Tolerance, gram_factor, pinv
-from .pdfun import PdFunction, gram
+from .pdfun import BallDomain, PdFunction, gram, gram_blocks
 from .words import (
     E,
     ClassCursor,
@@ -38,9 +38,7 @@ from .words import (
     Word,
     ball,
     classes_of_length,
-    inverse,
     minimal_word,
-    mul,
 )
 
 #: Oracle contract: (class cursor, defect data) -> contraction parameter
@@ -135,22 +133,17 @@ def params_to_json(
 
 
 def params_from_json(doc: dict) -> tuple[GroupContext, int, int, int, dict[ClassCursor, np.ndarray]]:
-    jsonio.expect_schema(doc, "params.v1")
-    m = jsonio.require(doc, "m")
-    k = jsonio.require(doc, "k")
-    ctx = GroupContext(m, tuple(jsonio.require(doc, "letter_order")))
+    ctx, k = jsonio.read_header(doc, "params.v1")
     params: dict[ClassCursor, np.ndarray] = {}
     for item in jsonio.require(doc, "params"):
-        rep = jsonio.word_from_json(jsonio.require(item, "class"), m)
+        rep = jsonio.word_from_json(jsonio.require(item, "class"), ctx.m)
         params[ClassCursor(rep, ctx)] = jsonio.matrix_from_json(jsonio.require(item, "gamma"))
     return ctx, k, jsonio.require(doc, "from_n"), jsonio.require(doc, "to_n"), params
 
 
 def trace_from_json(doc: dict) -> ExtensionTrace:
-    jsonio.expect_schema(doc, "trace.v1")
-    m = jsonio.require(doc, "m")
-    k = jsonio.require(doc, "k")
-    ctx = GroupContext(m, tuple(jsonio.require(doc, "letter_order")))
+    ctx, k = jsonio.read_header(doc, "trace.v1")
+    m = ctx.m
     steps = []
     for item in jsonio.require(doc, "steps"):
         rep = jsonio.word_from_json(jsonio.require(item, "class"), m)
@@ -167,81 +160,17 @@ def trace_from_json(doc: dict) -> ExtensionTrace:
     return ExtensionTrace(ctx=ctx, k=k, start_n=jsonio.require(doc, "start_n"), steps=tuple(steps))
 
 
-def _completion_window(
-    phi: PdFunction, cursor: ClassCursor
+def _window(
+    store: dict[Word, np.ndarray], ctx: GroupContext, k: int, cursor: ClassCursor
 ) -> tuple[PartialBlockMatrix, list[Word]]:
-    """Partial Gram matrix over the clique of cursor, with (e, s_nu) hidden."""
-    clique = clique_C(cursor)
-    k = phi.k
-    i_e = clique.index(E)
-    i_s = clique.index(cursor.rep)
-    N = len(clique)
-    A = np.zeros((N * k, N * k), dtype=complex)
-    for i, s in enumerate(clique):
-        s_inv = inverse(s)
-        for j, t in enumerate(clique):
-            if {i, j} == {i_e, i_s}:
-                continue
-            A[i * k : (i + 1) * k, j * k : (j + 1) * k] = phi.value(mul(s_inv, t))
-    return PartialBlockMatrix(A, (i_e, i_s), k), clique
+    """Partial Gram matrix over the clique of cursor, with (e, s_nu) hidden.
 
-
-def step_defects(
-    phi: PdFunction, cursor: ClassCursor, tol: Tolerance = DEFAULT_TOL
-) -> DefectData:
-    """Defect data of the completion window at a prospective class."""
-    P, _ = _completion_window(phi, cursor)
-    return analyze(P, tol)
-
-
-def extend_one(
-    phi: PdFunction,
-    cursor: ClassCursor,
-    gamma,
-    tol: Tolerance = DEFAULT_TOL,
-) -> PdFunction:
-    """Extend phi by the single class ``cursor`` using the parameter ``gamma``.
-
-    phi must be positive definite on the ideal right below the cursor;
-    the result carries the value central + F_e* gamma F_s at s_nu (and its
-    adjoint at the inverse) and is positive definite on the grown ideal.
+    The store must hold some value at s_nu; the hidden pair is never read
+    by :func:`analyze`, :func:`complete` or :func:`extract_gamma`.
     """
-    phi2, _ = _extend_one_traced(phi, cursor, lambda c, d: gamma, tol)
-    return phi2
-
-
-def _extend_one_traced(
-    phi: PdFunction,
-    cursor: ClassCursor,
-    oracle: ParamOracle,
-    tol: Tolerance,
-) -> tuple[PdFunction, ExtensionStep]:
-    P, clique = _completion_window(phi, cursor)
-    defects = analyze(P, tol)
-    gamma = np.asarray(oracle(cursor, defects), dtype=complex)
-    if gamma.ndim == 0:
-        gamma = gamma.reshape(1, 1)
-    if gamma.size:
-        norm = np.linalg.norm(gamma, 2)
-        if norm > 1.0 + GAMMA_NORM_SLACK:
-            raise ContractionNormError(
-                f"oracle returned a parameter of norm {norm:.12g} at class "
-                f"{cursor.rep}; beyond unit-ball slack"
-            )
-        if norm > 1.0:
-            gamma = gamma / norm
-    full = complete(P, gamma, tol)
-    i_e, i_s = P.missing
-    k = phi.k
-    filled = full[i_e * k : (i_e + 1) * k, i_s * k : (i_s + 1) * k]
-    step = ExtensionStep(
-        cursor=cursor,
-        clique=tuple(clique),
-        central=defects.central,
-        gamma=gamma,
-        filled=filled,
-    )
-    return phi.with_class_value(cursor, filled), step
+    clique = clique_C(cursor)
+    A = gram_blocks(store, ctx, k, clique)
+    return PartialBlockMatrix(A, (clique.index(E), clique.index(cursor.rep)), k), clique
 
 
 def extend_to_ball(
@@ -253,24 +182,37 @@ def extend_to_ball(
     """Extend a positive definite function from S_n to S_N, class by class.
 
     The oracle chooses the contraction parameter at each class; with
-    :func:`zero_oracle` this is the central extension.  The run is
+    :func:`zero_oracle` this is the central extension.  Each step fills
+    central + F_e* gamma F_s at s_nu (its adjoint at the inverse follows),
+    keeping the function positive definite on the grown ideal.  The run is
     recorded in a trace whose replay (via :func:`oracle_from_params`)
     reproduces the output bit-for-bit.
     """
     n = phi.ball_radius()
     if N < n:
         raise ValueError(f"cannot extend from S_{n} down to S_{N}")
-    ball(phi.ctx, N)  # enforce the enumeration cap before any work
+    ctx, k = phi.ctx, phi.k
+    ball(ctx, N)  # enforce the enumeration cap before any work
+    store = {rep: phi.value(rep) for rep in phi.class_reps()}
+    hidden = np.zeros((k, k), dtype=complex)
     steps: list[ExtensionStep] = []
-    current = phi
-    if N > n:
-        cursor = ClassCursor(minimal_word(n + 1, phi.ctx), phi.ctx)
-        while cursor.length <= N:
-            current, step = _extend_one_traced(current, cursor, oracle, tol)
-            steps.append(step)
-            cursor = cursor.successor()
-        current = current.as_ball(N)
-    return current, ExtensionTrace(ctx=phi.ctx, k=phi.k, start_n=n, steps=tuple(steps))
+    cursor = ClassCursor(minimal_word(n + 1, ctx), ctx)
+    while cursor.length <= N:
+        store[cursor.rep] = hidden  # a placeholder: the window never reads it
+        P, clique = _window(store, ctx, k, cursor)
+        defects = analyze(P, tol)
+        try:
+            gamma = _coerce_gamma(oracle(cursor, defects), defects.gamma_shape)
+        except ContractionNormError as exc:
+            raise ContractionNormError(f"oracle at class {cursor.rep}: {exc}") from None
+        full = complete(P, gamma, tol)
+        i_e, i_s = P.missing
+        filled = full[i_e * k : (i_e + 1) * k, i_s * k : (i_s + 1) * k]
+        store[cursor.rep] = filled
+        steps.append(ExtensionStep(cursor, tuple(clique), defects.central, gamma, filled))
+        cursor = cursor.successor()
+    ext = PdFunction(ctx, k, BallDomain(N), store)
+    return ext, ExtensionTrace(ctx=ctx, k=k, start_n=n, steps=tuple(steps))
 
 
 def extract_params(
@@ -284,11 +226,14 @@ def extract_params(
     (exactly on full-rank defects, minimal-norm representative otherwise).
     """
     N = phi.ball_radius()
+    if not 0 <= n <= N:
+        raise ValueError(f"base radius must lie in 0..{N}, got {n}")
+    store = {rep: phi.value(rep) for rep in phi.class_reps()}
     out: dict[ClassCursor, np.ndarray] = {}
     for length in range(n + 1, N + 1):
         for cursor in classes_of_length(phi.ctx, length):
-            P, _ = _completion_window(phi, cursor)
-            out[cursor] = extract_gamma(P, phi.value(cursor.rep), tol)
+            P, _ = _window(store, phi.ctx, phi.k, cursor)
+            out[cursor] = extract_gamma(P, store[cursor.rep], tol)
     return out
 
 

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .words import GroupContext
+
 
 class SchemaError(ValueError):
     """A document does not conform to its declared schema."""
@@ -82,3 +84,32 @@ def require(doc: dict, key: str):
     if key not in doc:
         raise SchemaError(f"missing required key {key!r}")
     return doc[key]
+
+
+#: Header of each schema: its block-size key, and whether it names a letter order.
+_HEADERS = {
+    "pdfun.v1": ("k", True),
+    "params.v1": ("k", True),
+    "trace.v1": ("k", True),
+    "ncpoly.v1": ("c", False),
+    "cert.v1": ("c", False),
+}
+
+
+def read_header(doc: dict, schema: str) -> tuple[GroupContext, int]:
+    """Check a document's schema and header; return its group context and block size.
+
+    The header is ``m``, the block size (``k`` or ``c``, both positive
+    integers) and, for the schemas that name one, the ``letter_order``.
+    """
+    expect_schema(doc, schema)
+    size_key, ordered = _HEADERS[schema]
+    m = require(doc, "m")
+    size = require(doc, size_key)
+    if not all(type(x) is int and x >= 1 for x in (m, size)):
+        raise SchemaError(f"invalid dimensions m={m!r}, {size_key}={size!r}")
+    order = require(doc, "letter_order") if ordered else None
+    try:
+        return GroupContext(m, None if order is None else tuple(order)), size
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc)) from exc

@@ -77,15 +77,6 @@ def is_psd(A, tol: Tolerance = DEFAULT_TOL) -> bool:
     return w.min() >= -tol.psd_eps * scale
 
 
-def min_eigenvalue(A) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (0.0 for the empty matrix)."""
-    M = as_matrix(A)
-    _check_hermitian(M)
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh((M + M.conj().T) / 2.0).min())
-
-
 def gram_factor(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Factor a PSD matrix as A = W* W, with rank(A) rows in W.
 

@@ -137,26 +137,14 @@ class NcPolynomial:
         }
 
 
-def nc_mul(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
-    return p * q
-
-
-def nc_adjoint(p: NcPolynomial) -> NcPolynomial:
-    return p.adjoint()
-
-
 def ncpolynomial_from_json(doc: dict) -> NcPolynomial:
-    jsonio.expect_schema(doc, "ncpoly.v1")
-    m = jsonio.require(doc, "m")
-    c = jsonio.require(doc, "c")
-    if not (isinstance(m, int) and m >= 1 and isinstance(c, int) and c >= 1):
-        raise jsonio.SchemaError(f"invalid dimensions m={m!r}, c={c!r}")
+    ctx, c = jsonio.read_header(doc, "ncpoly.v1")
     terms: dict[Word, np.ndarray] = {}
     for entry in jsonio.require(doc, "terms"):
-        word = jsonio.word_from_json(jsonio.require(entry, "word"), m)
+        word = jsonio.word_from_json(jsonio.require(entry, "word"), ctx.m)
         block = jsonio.matrix_from_json(jsonio.require(entry, "value"), (c, c))
         terms[word] = terms.get(word, 0) + block
-    return NcPolynomial(GroupContext(m), c, terms)
+    return NcPolynomial(ctx, c, terms)
 
 
 def eval_word(unitaries: Sequence[np.ndarray], word: Word) -> np.ndarray:
@@ -195,6 +183,8 @@ def sample_positivity(
     nonnegative return is evidence only.  Dimensions are drawn uniformly
     from 1..d_max.
     """
+    if trials < 1:
+        raise ValueError(f"positivity sampling needs at least one trial, got {trials}")
     if not p.is_hermitian():
         raise ValueError("positivity sampling needs a Hermitian polynomial")
     rng = np.random.default_rng(seed)
@@ -491,11 +481,8 @@ def certificate_to_json(cert: SosCertificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> SosCertificate:
-    jsonio.expect_schema(doc, "cert.v1")
-    m = jsonio.require(doc, "m")
-    c = jsonio.require(doc, "c")
-    if not (isinstance(m, int) and m >= 1 and isinstance(c, int) and c >= 1):
-        raise jsonio.SchemaError(f"invalid dimensions m={m!r}, c={c!r}")
+    ctx, c = jsonio.read_header(doc, "cert.v1")
+    m = ctx.m
     index = [jsonio.word_from_json(w, m) for w in jsonio.require(doc, "index")]
     gram = jsonio.matrix_from_json(jsonio.require(doc, "gram"))
     factors = {}

@@ -60,6 +60,10 @@ class BallDomain:
 
     n: int
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"ball radius must be nonnegative, got n = {self.n}")
+
     def contains(self, word: Word, ctx: GroupContext) -> bool:
         return len(word) <= self.n
 
@@ -165,14 +169,12 @@ class PdFunction:
     def value(self, word: Word) -> np.ndarray:
         """Phi at a word; the adjoint class member is synthesized."""
         w = reduce_word(word)
-        rep = class_rep(w, self.ctx)
         try:
-            block = self._values[rep]
+            return _class_value(self._values, self.ctx, w)
         except KeyError:
             raise MissingValueError(
                 f"no value at {w}: outside domain {self.domain.describe()}"
             ) from None
-        return block if w == rep else block.conj().T
 
     def class_reps(self) -> list[Word]:
         return sorted(self._values, key=self.ctx.sort_key)
@@ -193,10 +195,6 @@ class PdFunction:
         except KeyError as exc:
             raise DomainError(f"domain does not contain S_{n}: missing {exc}") from None
         return PdFunction(self.ctx, self.k, BallDomain(n), values)
-
-    def as_ball(self, n: int) -> "PdFunction":
-        """Reinterpret an ideal domain that exactly fills S_n as a ball domain."""
-        return self.restricted_to_ball(n)
 
     def ball_radius(self) -> int:
         if not isinstance(self.domain, BallDomain):
@@ -249,16 +247,8 @@ def _normalize_unit(
 
 def pdfunction_from_json(doc: dict) -> PdFunction:
     """Parse a ``pdfun.v1`` document."""
-    jsonio.expect_schema(doc, "pdfun.v1")
-    m = jsonio.require(doc, "m")
-    k = jsonio.require(doc, "k")
-    if not (isinstance(m, int) and m >= 1 and isinstance(k, int) and k >= 1):
-        raise jsonio.SchemaError(f"invalid dimensions m={m!r}, k={k!r}")
-    order = jsonio.require(doc, "letter_order")
-    try:
-        ctx = GroupContext(m, tuple(order))
-    except (TypeError, ValueError) as exc:
-        raise jsonio.SchemaError(str(exc)) from exc
+    ctx, k = jsonio.read_header(doc, "pdfun.v1")
+    m = ctx.m
     dom = jsonio.require(doc, "domain")
     if not (isinstance(dom, dict) and dom.get("type") == "ball" and isinstance(dom.get("n"), int)):
         raise jsonio.SchemaError(f"unsupported domain {dom!r}")
@@ -284,27 +274,46 @@ class GramMatrix:
         k = self.k
         return self.blocks[i * k : (i + 1) * k, j * k : (j + 1) * k]
 
-    def position(self, word: Word) -> int:
-        return self.index.index(word)
+
+def _class_value(store: Mapping[Word, np.ndarray], ctx: GroupContext, w: Word) -> np.ndarray:
+    """The value at a reduced word, read from a store keyed by class representative.
+
+    The adjoint class member is synthesized; a missing class raises KeyError.
+    """
+    rep = class_rep(w, ctx)
+    block = store[rep]
+    return block if w == rep else block.conj().T
 
 
-def gram(phi: PdFunction, S: Sequence[Word]) -> GramMatrix:
-    """The Gram matrix of phi over S; raises naming the offending pair."""
-    words = [reduce_word(s) for s in S]
-    k = phi.k
+def gram_blocks(
+    store: Mapping[Word, np.ndarray], ctx: GroupContext, k: int, words: Sequence[Word]
+) -> np.ndarray:
+    """The blocked matrix [Phi(s^-1 t)] over reduced ``words``, from a class store.
+
+    This is the one Gram-assembly loop: :func:`gram` and the extension
+    engine's completion windows both go through it.  A missing class raises
+    :class:`MissingValueError` naming the offending pair.
+    """
     N = len(words)
     A = np.empty((N * k, N * k), dtype=complex)
     for i, s in enumerate(words):
         s_inv = inverse(s)
         for j, t in enumerate(words):
+            x = mul(s_inv, t)
             try:
-                A[i * k : (i + 1) * k, j * k : (j + 1) * k] = phi.value(mul(s_inv, t))
-            except MissingValueError:
+                A[i * k : (i + 1) * k, j * k : (j + 1) * k] = _class_value(store, ctx, x)
+            except KeyError:
                 raise MissingValueError(
-                    f"gram entry ({s}, {t}) needs a value at {mul(s_inv, t)}, "
-                    f"outside domain {phi.domain.describe()}"
+                    f"gram entry ({s}, {t}) needs a value at {x}, outside the domain"
                 ) from None
-    return GramMatrix(index=tuple(words), k=k, blocks=A)
+    return A
+
+
+def gram(phi: PdFunction, S: Sequence[Word]) -> GramMatrix:
+    """The Gram matrix of phi over S; raises naming the offending pair."""
+    words = [reduce_word(s) for s in S]
+    A = gram_blocks(phi._values, phi.ctx, phi.k, words)
+    return GramMatrix(index=tuple(words), k=phi.k, blocks=A)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,19 @@
 import json
 
 import numpy as np
+import pytest
 
 from freepd import jsonio
 from freepd.cli import main
+from freepd.extend import trace_from_json
 from freepd.ncpoly import NcPolynomial, certificate_from_json
 from freepd.pdfun import pdfunction_from_json
 from freepd.words import E, GroupContext
+
+
+def assert_bad_input(code, err):
+    assert code == 2
+    assert json.loads(err)["error"] == "bad-input"
 
 
 def run(capfd, *argv):
@@ -32,6 +39,9 @@ def test_haagerup_verify_roundtrip(tmp_path, capfd):
     # the output file re-validates against its schema
     phi = pdfunction_from_json(jsonio.load_path(f))
     assert phi.ball_radius() == 2
+    code, _, err = run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "-1", "-o", str(f))
+    assert_bad_input(code, err)
+    assert "radius" in json.loads(err)["detail"]
 
 
 def test_verify_rejects_non_positive(tmp_path, capfd):
@@ -85,6 +95,8 @@ def test_extend_params_roundtrip_byte_identical(tmp_path, capfd):
     code, _, _ = run(capfd, "extend", str(h), "--to", "3", "--params", str(params), "-o", str(out2))
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+    code, _, err = run(capfd, "params", str(out1), "--from", "4", "-o", str(tmp_path / "p4.json"))
+    assert_bad_input(code, err)
     # trace file re-validates
     doc = jsonio.load_path(trace)
     assert doc["schema"] == "trace.v1"
@@ -109,6 +121,14 @@ def test_check_ortho_cli(tmp_path, capfd):
     code, out, _ = run(capfd, "check-ortho", str(ext), "--level", "1")
     assert code == 0
     assert json.loads(out)["ok"] is True
+    # --tol is taken as given, and must be positive
+    code, out, _ = run(capfd, "check-ortho", str(ext), "--level", "1", "--tol", "1e-30")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+    for tol in ("0", "-1"):
+        for cmd in (["check-ortho", str(ext), "--level", "1"], ["verify", str(ext)]):
+            code, _, err = run(capfd, *cmd, "--tol", tol)
+            assert_bad_input(code, err)
 
 
 def test_check_ortho_flags_random_extension(tmp_path, capfd):
@@ -154,6 +174,8 @@ def test_factor_cli_infeasible_and_sample(tmp_path, capfd):
     code, out, _ = run(capfd, "sample", str(f), "--trials", "100", "--seed", "3")
     assert code == 0
     assert json.loads(out)["min_eigenvalue"] <= -0.5
+    code, _, err = run(capfd, "sample", str(f), "--trials", "0")
+    assert_bad_input(code, err)
 
 
 def test_extend_flag_conflict(tmp_path, capfd):
@@ -172,3 +194,22 @@ def test_custom_letter_order(tmp_path, capfd):
     )
     assert code == 0
     assert jsonio.load_path(h)["letter_order"] == [2, -2, 1, -1]
+
+
+def test_bad_header_is_bad_input(tmp_path, capfd):
+    h = tmp_path / "h.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
+    header = {"m": "x", "k": 1, "letter_order": [1, -1, 2, -2]}
+    params = tmp_path / "params.json"
+    jsonio.dump_path(params, {"schema": "params.v1", **header, "from_n": 1, "to_n": 2, "params": []})
+    code, _, err = run(capfd, "extend", str(h), "--to", "2", "--params", str(params), "-o", str(tmp_path / "x.json"))
+    assert_bad_input(code, err)
+    trace = {"schema": "trace.v1", **header, "start_n": 1, "steps": []}
+    with pytest.raises(jsonio.SchemaError):
+        trace_from_json(trace)
+    # a huge m is refused by the letter count alone, before any letter set is built
+    pdfun = jsonio.load_path(h)
+    pdfun["m"] = 10**12
+    jsonio.dump_path(h, pdfun)
+    code, _, err = run(capfd, "verify", str(h))
+    assert_bad_input(code, err)

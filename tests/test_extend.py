@@ -8,13 +8,11 @@ from freepd.completion import ContractionNormError
 from freepd.linalg import Tolerance
 from freepd.extend import (
     check_max_orthogonal,
-    extend_one,
     extend_to_ball,
     extract_params,
     oracle_from_params,
     params_from_json,
     params_to_json,
-    step_defects,
     trace_from_json,
     zero_oracle,
 )
@@ -32,20 +30,19 @@ def scalar_function(ctx, n, f):
     return PdFunction(ctx, 1, BallDomain(n), values)
 
 
-def test_extend_one_central_value():
+def test_first_class_value_under_zero_and_unit_oracle():
+    # (1, 1) is the first class of S_2, so its window sees only S_1
     phi = scalar_function(CTX2, 1, lambda w: 0.5 if len(w) == 1 else 1.0)
-    nu = ClassCursor((1, 1), CTX2)
-    out = extend_one(phi, nu, np.zeros((1, 1)))
+    out, _ = extend_to_ball(phi, 2, zero_oracle)
     assert np.allclose(out.value((1, 1)), 0.25)
-    out1 = extend_one(phi, nu, np.ones((1, 1)))
+    out1, _ = extend_to_ball(phi, 2, lambda cur, dd: np.ones(dd.gamma_shape))
     assert np.allclose(out1.value((1, 1)), 1.0)  # 0.25 + 0.75
 
 
-def test_extend_one_from_trivial_prior():
+def test_extend_from_trivial_prior():
     phi = scalar_function(CTX2, 0, lambda w: 1.0)
-    nu = ClassCursor((1,), CTX2)
     g = np.array([[0.3 - 0.4j]])
-    out = extend_one(phi, nu, g)
+    out, _ = extend_to_ball(phi, 1, lambda cur, dd: g)
     assert np.allclose(out.value((1,)), g)
     assert abs(out.value((1,))[0, 0]) <= 1.0
 
@@ -150,8 +147,8 @@ def test_translation_coherence():
     from freepd.completion import PartialBlockMatrix, complete
 
     phi = random_pd_function(CTX2, 1, 2, RNG)
-    nu = ClassCursor((1, 1, 1), CTX2)
-    out = extend_one(phi, nu, np.zeros((1, 1)))
+    nu = ClassCursor((1, 1, 1), CTX2)  # the first class of S_3
+    out, _ = extend_to_ball(phi, 3, zero_oracle)
     C = clique_C(nu)
     for r in [(2,), (-1,), (2, 1)]:
         translated = sorted((mul(r, w) for w in C), key=CTX2.sort_key)
@@ -181,7 +178,14 @@ def test_oracle_norm_policy():
 def test_step_defects_shape():
     phi = random_pd_function(CTX2, 2, 2, RNG)
     nu = ClassCursor((1, 1, 1), CTX2)
-    dd = step_defects(phi, nu)
+    seen = {}
+
+    def oracle(cur, dd):
+        seen[cur] = dd
+        return np.zeros(dd.gamma_shape)
+
+    extend_to_ball(phi, 3, oracle)
+    dd = seen[nu]
     assert dd.gamma_shape == (2, 2)
     assert dd.central.shape == (2, 2)
 

@@ -13,8 +13,6 @@ from freepd.ncpoly import (
     certificate_to_json,
     eval_unitaries,
     factor_sos,
-    nc_adjoint,
-    nc_mul,
     ncpolynomial_from_json,
     sample_positivity,
     split_squares,
@@ -42,7 +40,7 @@ P_SHIFTED = scalar_poly(CTX1, {E: 2.0, (1,): 1.0, (-1,): 1.0})  # = (1+X)^* (1+X
 
 def test_nc_mul_example():
     one_plus = scalar_poly(CTX1, {E: 1.0, (1,): 1.0})
-    prod = nc_mul(nc_adjoint(one_plus), one_plus)
+    prod = one_plus.adjoint() * one_plus
     assert prod == P_SHIFTED
 
 
@@ -51,14 +49,14 @@ def test_nc_mul_unit_and_involution():
     unit = NcPolynomial(CTX2, 2, {E: np.eye(2)})
     assert p * unit == p
     assert unit * p == p
-    assert nc_adjoint(nc_adjoint(p)) == p
+    assert p.adjoint().adjoint() == p
 
 
 def test_product_adjoint_rule():
     p = random_poly(CTX2, 2, 1, RNG)
     q = random_poly(CTX2, 2, 1, RNG)
-    lhs = nc_adjoint(p * q)
-    rhs = nc_adjoint(q) * nc_adjoint(p)
+    lhs = (p * q).adjoint()
+    rhs = q.adjoint() * p.adjoint()
     assert lhs.terms.keys() == rhs.terms.keys()
     for w in lhs.terms:
         assert np.abs(lhs.terms[w] - rhs.terms[w]).max() <= 1e-12
@@ -72,7 +70,7 @@ def test_nc_mul_reduces_words():
 
 def test_context_mismatch():
     with pytest.raises(NcContextError):
-        nc_mul(scalar_poly(CTX1, {E: 1.0}), scalar_poly(CTX2, {E: 1.0}))
+        scalar_poly(CTX1, {E: 1.0}) * scalar_poly(CTX2, {E: 1.0})
 
 
 def test_degree_and_hermitian():
@@ -91,7 +89,7 @@ def test_eval_examples():
 
 def test_eval_hermitian_output():
     p = random_poly(CTX2, 2, 1, RNG)
-    p = p + nc_adjoint(p)
+    p = p + p.adjoint()
     assert p.is_hermitian()
     U = [haar_unitary(3, RNG) for _ in range(2)]
     M = eval_unitaries(p, U)
@@ -203,7 +201,7 @@ def test_zero_polynomial():
 
 def test_ncpoly_json_roundtrip():
     p = random_poly(CTX2, 2, 1, RNG)
-    p = p + nc_adjoint(p)
+    p = p + p.adjoint()
     doc = p.to_json_dict()
     back = ncpolynomial_from_json(json.loads(jsonio.dumps(doc)))
     assert back == p
