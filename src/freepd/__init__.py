@@ -23,7 +23,7 @@ from .words import (
     reduce_word,
     sphere,
 )
-from .cayley import EdgePredicate, clique_C, distance, is_chordal, sigma_set, tree_median
+from .cayley import clique_C, distance, sigma_set, tree_median
 from .linalg import (
     DEFAULT_TOL,
     NotHermitianError,

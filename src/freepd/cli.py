@@ -58,6 +58,13 @@ class CliInputError(ValueError):
     """Malformed input: wrong schema, missing file, bad option combination."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as :class:`CliInputError`, so they get a JSON diagnostic."""
+
+    def error(self, message):
+        raise CliInputError(f"{self.prog}: {message}")
+
+
 def _diagnostic(kind: str, detail: str, **extra):
     doc = {"error": kind, "detail": detail}
     doc.update(extra)
@@ -201,7 +208,7 @@ def cmd_sample(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freepd",
         description="Positive definite functions on free groups: verify, extend, "
         "parametrize, and factor positive noncommutative polynomials.",
@@ -273,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MATH_ERRORS as exc:
         _diagnostic("math-failure", str(exc))

@@ -114,8 +114,11 @@ def psd_project(A) -> np.ndarray:
     """Nearest (Frobenius) PSD matrix: eigenvalues clipped at zero."""
     M = as_matrix(A)
     _check_hermitian(M)
-    if M.size == 0:
-        return M
-    w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
+    return _psd_clip((M + M.conj().T) / 2.0)
+
+
+def _psd_clip(M: np.ndarray) -> np.ndarray:
+    """:func:`psd_project` of an exactly Hermitian array, unchecked."""
+    w, V = np.linalg.eigh(M)
     P = (V * np.clip(w, 0.0, None)) @ V.conj().T
     return (P + P.conj().T) / 2.0

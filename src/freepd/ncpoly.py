@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import jsonio
-from .linalg import as_matrix
+from .linalg import _psd_clip, as_matrix
 from .sampling import haar_unitary
 from .words import E, GroupContext, Word, ball, inverse, mul, reduce_word
 
@@ -239,10 +239,7 @@ def _coefficient_classes(ctx: GroupContext, index: list[Word]):
             x = mul(si, t)
             pair_class[pos] = cls_of.setdefault(x, len(cls_of))
             pos += 1
-    words = [None] * len(cls_of)
-    for w, cid in cls_of.items():
-        words[cid] = w
-    return pair_class, words
+    return pair_class, list(cls_of)
 
 
 class _GramProblem:
@@ -261,9 +258,7 @@ class _GramProblem:
         self.counts = np.bincount(pair_class, minlength=len(class_words)).astype(float)
         self.targets = np.stack([p.coefficient(w) for w in class_words])
         self.c = c
-        self.N = N
         self.size = N * c
-        self.pairs = list(zip(ii.tolist(), jj.tolist(), pair_class.tolist()))
 
     def class_sums(self, G: np.ndarray) -> np.ndarray:
         blocks = G[self.rows, self.cols]
@@ -272,17 +267,14 @@ class _GramProblem:
         return sums
 
     def affine_project(self, G: np.ndarray) -> np.ndarray:
-        blocks = G[self.rows, self.cols]
-        sums = np.zeros_like(self.targets)
-        np.add.at(sums, self.cls, blocks)
-        delta = (self.targets - sums) / self.counts[:, None, None]
+        delta = (self.targets - self.class_sums(G)) / self.counts[:, None, None]
         out = G.copy()
-        out[self.rows, self.cols] = blocks + delta[self.cls]
+        out[self.rows, self.cols] += delta[self.cls]
         return (out + out.conj().T) / 2.0
 
     def affine_gap(self, G: np.ndarray) -> float:
         diff = self.class_sums(G) - self.targets
-        return float(max(np.linalg.norm(D, 2) for D in diff))
+        return float(np.linalg.norm(diff, 2, axis=(1, 2)).max())
 
     def residual_of_factor(self, B: np.ndarray) -> float:
         return self.affine_gap(B.conj().T @ B)
@@ -290,6 +282,30 @@ class _GramProblem:
     def stacked_residual(self, B: np.ndarray) -> float:
         diff = self.class_sums(B.conj().T @ B) - self.targets
         return float(np.sqrt((np.abs(diff) ** 2).sum()))
+
+    def jacobian(self, B: np.ndarray) -> np.ndarray:
+        """Real Jacobian of the class sums of B* B in (Re B, Im B), rows interleaved re/im.
+
+        Entry (i, j) of d(B* B) sums conj(dB[r, i]) B[r, j] + conj(B[r, i]) dB[r, j]
+        over the factor rows r; each product scatters the real 2 x 2 block of
+        w -> z conj(w) (sign 1) or w -> z w (sign -1).  A Gram index and a
+        class fix the rest of the pair, so each entry of J gets at most one
+        addend per product, and their order cannot change its bits.
+        """
+        R, c, neq = B.shape[0], self.c, self.targets.size
+        ar = np.arange(c)
+        eqs = ((self.cls[:, None, None] * c + ar[:, None]) * c + ar)[..., None]
+        J = np.zeros((neq, 2, 2, R * self.size))
+
+        def scatter(z, gram_index, sign):
+            var = np.arange(R) * self.size + gram_index[..., None]
+            re_row = np.stack([z.real, sign * z.imag], -1)
+            im_row = np.stack([z.imag, -sign * z.real], -1)
+            np.add.at(J, (eqs, slice(None), slice(None), var), np.stack([re_row, im_row], -2))
+
+        scatter(B.T[self.cols], self.rows, 1.0)
+        scatter(B.T[self.rows].conj(), self.cols, -1.0)
+        return J.reshape(2 * neq, -1)
 
 
 def _gauss_newton_polish(
@@ -301,47 +317,18 @@ def _gauss_newton_polish(
     returns the improved factor and its stacked residual.  G = B* B stays
     PSD by construction, so a small enough residual certifies success.
     """
-    c, N = prob.c, prob.N
-    R = B0.shape[0]
-    ncols = N * c
-    nvar = 2 * R * ncols
-    neq = 2 * len(prob.class_words) * c * c
     B = B0.copy()
     res = prob.stacked_residual(B)
     for _ in range(max_steps):
         if res <= tol:
             break
-        J = np.zeros((neq, nvar))
-        Bc = B.conj()
-        for i, j, cid in prob.pairs:
-            row_base = cid * 2 * c * c
-            for r in range(R):
-                Bj = B[r, j * c : (j + 1) * c]
-                Bi_c = Bc[r, i * c : (i + 1) * c]
-                for q in range(c):
-                    v_re = r * ncols + i * c + q
-                    v_im = R * ncols + v_re
-                    base = row_base + q * c * 2
-                    for q2 in range(c):
-                        er = base + q2 * 2
-                        J[er, v_re] += Bj[q2].real
-                        J[er + 1, v_re] += Bj[q2].imag
-                        J[er, v_im] += Bj[q2].imag
-                        J[er + 1, v_im] += -Bj[q2].real
-                    v_re2 = r * ncols + j * c + q
-                    v_im2 = R * ncols + v_re2
-                    for q1 in range(c):
-                        er = row_base + (q1 * c + q) * 2
-                        J[er, v_re2] += Bi_c[q1].real
-                        J[er + 1, v_re2] += Bi_c[q1].imag
-                        J[er, v_im2] += -Bi_c[q1].imag
-                        J[er + 1, v_im2] += Bi_c[q1].real
+        J = prob.jacobian(B)
         F = prob.class_sums(B.conj().T @ B) - prob.targets
-        rhs = np.empty(neq)
+        rhs = np.empty(J.shape[0])
         rhs[0::2] = F.real.reshape(-1)
         rhs[1::2] = F.imag.reshape(-1)
         delta, *_ = np.linalg.lstsq(J, -rhs, rcond=None)
-        dB = delta[: R * ncols].reshape(R, ncols) + 1j * delta[R * ncols :].reshape(R, ncols)
+        dB = delta[: B.size].reshape(B.shape) + 1j * delta[B.size :].reshape(B.shape)
         step = 1.0
         improved = False
         for _ in range(25):
@@ -405,9 +392,7 @@ def factor_sos(
     psd_gap = np.inf
     for it in range(1, max_iter + 1):
         Z = X + correction
-        w, V = np.linalg.eigh(Z)
-        Y = (V * np.clip(w, 0.0, None)) @ V.conj().T
-        Y = (Y + Y.conj().T) / 2.0
+        Y = _psd_clip(Z)
         correction = Z - Y
         X = prob.affine_project(Y)
         last = it == max_iter

@@ -79,6 +79,19 @@ def test_malformed_input_exits_2(tmp_path, capfd):
     jsonio.dump_path(f2, {"schema": "other.v1"})
     code, _, err = run(capfd, "verify", str(f2))
     assert code == 2
+    for argv in (
+        ["extend", str(f2), "-o", str(tmp_path / "out.json")],  # no --to
+        ["check-ortho", str(f2), "--level", "1", "--tol", "-1e-8"],  # -1e-8 read as an option
+        ["factor", str(f2), "-o", str(tmp_path / "cert.json"), "--max-iter", "many"],
+        ["frobnicate"],
+        [],
+    ):
+        code, _, err = run(capfd, *argv)
+        assert_bad_input(code, err)
+    with pytest.raises(SystemExit) as exc:
+        main(["extend", "--help"])
+    assert exc.value.code == 0
+    assert capfd.readouterr().out.startswith("usage: freepd extend")
 
 
 def test_extend_params_roundtrip_byte_identical(tmp_path, capfd):

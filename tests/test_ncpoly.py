@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freepd import jsonio
 from freepd.ncpoly import (
@@ -9,6 +11,7 @@ from freepd.ncpoly import (
     NcContextError,
     NcPolynomial,
     SosCertificate,
+    _GramProblem,
     certificate_from_json,
     certificate_to_json,
     eval_unitaries,
@@ -112,6 +115,29 @@ def test_sample_positivity_examples():
 def test_sample_requires_hermitian():
     with pytest.raises(ValueError):
         sample_positivity(scalar_poly(CTX1, {(1,): 1.0}), trials=5, d_max=2, seed=0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    group_degree=st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+    c=st.sampled_from([1, 2]),
+    rank=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jacobian_is_the_linearized_class_sum(group_degree, c, rank, seed):
+    m, degree = group_degree
+    ctx = GroupContext(m)
+    rng = np.random.default_rng(seed)
+    prob = _GramProblem(random_poly(ctx, c, degree, rng), ball(ctx, degree))
+    shape = (rank, prob.size)
+    B = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    dB = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    dF = prob.class_sums(B.conj().T @ dB + dB.conj().T @ B).reshape(-1)
+    expected = np.empty(2 * dF.size)
+    expected[0::2] = dF.real
+    expected[1::2] = dF.imag
+    got = prob.jacobian(B) @ np.concatenate([dB.real.reshape(-1), dB.imag.reshape(-1)])
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_factor_hand_example():
