@@ -88,7 +88,6 @@ from .sampling import (
     random_contraction,
     random_gamma_oracle,
     random_pd_function,
-    random_psd,
 )
 
 __version__ = "0.1.0"

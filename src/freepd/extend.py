@@ -38,7 +38,6 @@ from .words import (
     Word,
     ball,
     classes_of_length,
-    minimal_word,
 )
 
 #: Oracle contract: (class cursor, defect data) -> contraction parameter
@@ -196,21 +195,20 @@ def extend_to_ball(
     store = {rep: phi.value(rep) for rep in phi.class_reps()}
     hidden = np.zeros((k, k), dtype=complex)
     steps: list[ExtensionStep] = []
-    cursor = ClassCursor(minimal_word(n + 1, ctx), ctx)
-    while cursor.length <= N:
-        store[cursor.rep] = hidden  # a placeholder: the window never reads it
-        P, clique = _window(store, ctx, k, cursor)
-        defects = analyze(P, tol)
-        try:
-            gamma = _coerce_gamma(oracle(cursor, defects), defects.gamma_shape)
-        except ContractionNormError as exc:
-            raise ContractionNormError(f"oracle at class {cursor.rep}: {exc}") from None
-        full = complete(P, gamma, tol)
-        i_e, i_s = P.missing
-        filled = full[i_e * k : (i_e + 1) * k, i_s * k : (i_s + 1) * k]
-        store[cursor.rep] = filled
-        steps.append(ExtensionStep(cursor, tuple(clique), defects.central, gamma, filled))
-        cursor = cursor.successor()
+    for length in range(n + 1, N + 1):
+        for cursor in classes_of_length(ctx, length):
+            store[cursor.rep] = hidden  # a placeholder: the window never reads it
+            P, clique = _window(store, ctx, k, cursor)
+            defects = analyze(P, tol)
+            try:
+                gamma = _coerce_gamma(oracle(cursor, defects), defects.gamma_shape)
+            except ContractionNormError as exc:
+                raise ContractionNormError(f"oracle at class {cursor.rep}: {exc}") from None
+            full = complete(P, gamma, tol)
+            i_e, i_s = P.missing
+            filled = full[i_e * k : (i_e + 1) * k, i_s * k : (i_s + 1) * k]
+            store[cursor.rep] = filled
+            steps.append(ExtensionStep(cursor, tuple(clique), defects.central, gamma, filled))
     ext = PdFunction(ctx, k, BallDomain(N), store)
     return ext, ExtensionTrace(ctx=ctx, k=k, start_n=n, steps=tuple(steps))
 

@@ -185,6 +185,8 @@ def sample_positivity(
     """
     if trials < 1:
         raise ValueError(f"positivity sampling needs at least one trial, got {trials}")
+    if d_max < 1:
+        raise ValueError(f"positivity sampling needs d_max >= 1, got {d_max}")
     if not p.is_hermitian():
         raise ValueError("positivity sampling needs a Hermitian polynomial")
     rng = np.random.default_rng(seed)
@@ -279,9 +281,10 @@ class _GramProblem:
     def residual_of_factor(self, B: np.ndarray) -> float:
         return self.affine_gap(B.conj().T @ B)
 
-    def stacked_residual(self, B: np.ndarray) -> float:
+    def stacked_residual(self, B: np.ndarray) -> tuple[np.ndarray, float]:
+        """Class sums of B* B minus the targets, and their norm stacked over all classes."""
         diff = self.class_sums(B.conj().T @ B) - self.targets
-        return float(np.sqrt((np.abs(diff) ** 2).sum()))
+        return diff, float(np.sqrt((np.abs(diff) ** 2).sum()))
 
     def jacobian(self, B: np.ndarray) -> np.ndarray:
         """Real Jacobian of the class sums of B* B in (Re B, Im B), rows interleaved re/im.
@@ -318,12 +321,11 @@ def _gauss_newton_polish(
     PSD by construction, so a small enough residual certifies success.
     """
     B = B0.copy()
-    res = prob.stacked_residual(B)
+    F, res = prob.stacked_residual(B)
     for _ in range(max_steps):
         if res <= tol:
             break
         J = prob.jacobian(B)
-        F = prob.class_sums(B.conj().T @ B) - prob.targets
         rhs = np.empty(J.shape[0])
         rhs[0::2] = F.real.reshape(-1)
         rhs[1::2] = F.imag.reshape(-1)
@@ -333,9 +335,9 @@ def _gauss_newton_polish(
         improved = False
         for _ in range(25):
             Bn = B + step * dB
-            rn = prob.stacked_residual(Bn)
+            Fn, rn = prob.stacked_residual(Bn)
             if rn < res:
-                B, res = Bn, rn
+                B, F, res = Bn, Fn, rn
                 improved = True
                 break
             step *= 0.5
@@ -364,19 +366,20 @@ def factor_sos(
     p: NcPolynomial,
     tol: float = 1e-8,
     max_iter: int = 20_000,
-    polish_every: int = 200,
 ) -> SosCertificate | InfeasibleReport:
     """Search for a sum-of-squares certificate p = q* q.
 
     Dykstra's alternating projections run between the PSD cone and the
-    affine set of Gram matrices with the right coefficient sums; every
-    ``polish_every`` iterations a Gauss-Newton solve is attempted on a
-    low-rank factor seeded from the current PSD iterate.  Success returns
-    a certificate whose Gram matrix is PSD by construction and whose
-    coefficient residual is at most ``tol``; exhaustion returns an
+    affine set of Gram matrices with the right coefficient sums; every 200
+    iterations a Gauss-Newton solve is attempted on a low-rank factor
+    seeded from the current PSD iterate.  Success returns a certificate
+    whose Gram matrix is PSD by construction and whose coefficient
+    residual is at most ``tol``; exhaustion returns an
     :class:`InfeasibleReport` with the terminal gap, which is NOT a proof
     of non-positivity.
     """
+    if max_iter < 1:
+        raise ValueError(f"sum-of-squares search needs max_iter >= 1, got {max_iter}")
     if not p.is_hermitian():
         raise ValueError("sum-of-squares factorization needs a Hermitian polynomial")
     c = p.c
@@ -403,8 +406,9 @@ def factor_sos(
                 B = _top_rank_factor(Y)
                 if prob.residual_of_factor(B) <= tol:
                     return _certificate(prob, index, p.ctx.m, c, B, it)
-        if (it % polish_every == 0 or last) and polish_budget > 0:
-            if prob.affine_gap(Y) <= max(100 * tol, 1e-2 * scale):
+        # every polish iteration is also a gap check, so affine_gap belongs to this Y
+        if (it % 200 == 0 or last) and polish_budget > 0:
+            if affine_gap <= max(100 * tol, 1e-2 * scale):
                 polish_budget -= 1
                 w, V = np.linalg.eigh(Y)
                 for R in ladder:

@@ -84,13 +84,7 @@ class IdealDomain:
         return ctx.sort_key(class_rep(word, ctx)) <= self.last.key()
 
     def class_reps(self, ctx: GroupContext) -> list[Word]:
-        out = []
-        cur = ClassCursor(E, ctx)
-        while True:
-            out.append(cur.rep)
-            if cur.rep == self.last.rep:
-                return out
-            cur = cur.successor()
+        return [c.rep for c in classes_up_to(ctx, self.last.length) if c <= self.last]
 
     def describe(self) -> str:
         return f"ideal({self.last.rep})"
@@ -162,9 +156,6 @@ class PdFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("PdFunction is immutable")
-
-    def has(self, word: Word) -> bool:
-        return self.domain.contains(reduce_word(word), self.ctx)
 
     def value(self, word: Word) -> np.ndarray:
         """Phi at a word; the adjoint class member is synthesized."""

@@ -49,13 +49,6 @@ def random_gamma_oracle(seed: int):
     return oracle
 
 
-def random_psd(n: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random PSD matrix W* W of the given size and rank (default full)."""
-    r = n if rank is None else rank
-    W = ginibre((r, n), rng)
-    return W.conj().T @ W
-
-
 def random_pd_function(
     ctx: GroupContext,
     k: int,

@@ -73,9 +73,6 @@ class GroupContext:
         """Sort key realizing the lexicographic order: length, then letter ranks."""
         return (len(word), tuple(self._rank[x] for x in word))
 
-    def letters(self) -> tuple[int, ...]:
-        return self.letter_order
-
     def generators(self) -> tuple[int, ...]:
         return tuple(range(1, self.m + 1))
 
@@ -149,86 +146,14 @@ def lex_compare(s: Word, t: Word, ctx: GroupContext) -> int:
     return 0
 
 
-def lex_min(s: Word, t: Word, ctx: GroupContext) -> Word:
-    return s if lex_compare(s, t, ctx) <= 0 else t
-
-
 def class_rep(s: Word, ctx: GroupContext) -> Word:
     """The smaller of s and s^-1: canonical representative of the class {s, s^-1}."""
-    return lex_min(s, inverse(s), ctx)
+    inv = inverse(s)
+    return s if lex_compare(s, inv, ctx) <= 0 else inv
 
 
 def is_class_rep(s: Word, ctx: GroupContext) -> bool:
     return lex_compare(s, inverse(s), ctx) <= 0
-
-
-def minimal_word(n: int, ctx: GroupContext) -> Word:
-    """The smallest reduced word of length n."""
-    out: list[int] = []
-    for _ in range(n):
-        prev = out[-1] if out else None
-        for cand in ctx.letter_order:
-            if prev is None or cand != -prev:
-                out.append(cand)
-                break
-    return tuple(out)
-
-
-def maximal_word(n: int, ctx: GroupContext) -> Word:
-    """The largest reduced word of length n."""
-    out: list[int] = []
-    for _ in range(n):
-        prev = out[-1] if out else None
-        for cand in reversed(ctx.letter_order):
-            if prev is None or cand != -prev:
-                out.append(cand)
-                break
-    return tuple(out)
-
-
-def word_successor(s: Word, ctx: GroupContext) -> Word:
-    """The next reduced word in the lexicographic order.
-
-    Works like an odometer over the letter ranks within the current
-    length; the last word of length n is followed by the smallest word of
-    length n + 1.
-    """
-    order = ctx.letter_order
-    w = list(s)
-    for pos in range(len(w) - 1, -1, -1):
-        prev = w[pos - 1] if pos > 0 else None
-        for r in range(ctx.rank(w[pos]) + 1, len(order)):
-            cand = order[r]
-            if prev is None or cand != -prev:
-                w[pos] = cand
-                for q in range(pos + 1, len(w)):
-                    for c2 in order:
-                        if c2 != -w[q - 1]:
-                            w[q] = c2
-                            break
-                return tuple(w)
-    return minimal_word(len(s) + 1, ctx)
-
-
-def word_predecessor(s: Word, ctx: GroupContext) -> Word:
-    """Inverse of :func:`word_successor`; undefined at the empty word."""
-    if s == E:
-        raise ValueError("the empty word has no predecessor")
-    order = ctx.letter_order
-    w = list(s)
-    for pos in range(len(w) - 1, -1, -1):
-        prev = w[pos - 1] if pos > 0 else None
-        for r in range(ctx.rank(w[pos]) - 1, -1, -1):
-            cand = order[r]
-            if prev is None or cand != -prev:
-                w[pos] = cand
-                for q in range(pos + 1, len(w)):
-                    for c2 in reversed(order):
-                        if c2 != -w[q - 1]:
-                            w[q] = c2
-                            break
-                return tuple(w)
-    return maximal_word(len(s) - 1, ctx)
 
 
 def sphere_size(m: int, n: int) -> int:
@@ -312,19 +237,13 @@ class ClassCursor:
 
     def successor(self) -> "ClassCursor":
         """The smallest class strictly greater than this one."""
-        w = word_successor(self.rep, self.ctx)
-        while not is_class_rep(w, self.ctx):
-            w = word_successor(w, self.ctx)
-        return ClassCursor(w, self.ctx)
+        return next(c for c in classes_up_to(self.ctx, self.length + 1) if c > self)
 
     def predecessor(self) -> "ClassCursor":
         """Inverse of :meth:`successor`; undefined at the unit class."""
         if self.rep == E:
             raise ValueError("the unit class has no predecessor")
-        w = word_predecessor(self.rep, self.ctx)
-        while not is_class_rep(w, self.ctx):
-            w = word_predecessor(w, self.ctx)
-        return ClassCursor(w, self.ctx)
+        return [c for c in classes_up_to(self.ctx, self.length) if c < self][-1]
 
     def _check_ctx(self, other: "ClassCursor"):
         if self.ctx != other.ctx:
@@ -347,13 +266,9 @@ class ClassCursor:
 
 def classes_of_length(ctx: GroupContext, n: int) -> Iterator[ClassCursor]:
     """All classes whose representative has length exactly n, in order."""
-    if n == 0:
-        yield ClassCursor(E, ctx)
-        return
-    cur = ClassCursor(minimal_word(n, ctx), ctx)
-    while cur.length == n:
-        yield cur
-        cur = cur.successor()
+    for w in sphere(ctx, n):
+        if is_class_rep(w, ctx):
+            yield ClassCursor(w, ctx)
 
 
 def classes_up_to(ctx: GroupContext, n: int) -> Iterator[ClassCursor]:

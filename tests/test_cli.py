@@ -187,8 +187,14 @@ def test_factor_cli_infeasible_and_sample(tmp_path, capfd):
     code, out, _ = run(capfd, "sample", str(f), "--trials", "100", "--seed", "3")
     assert code == 0
     assert json.loads(out)["min_eigenvalue"] <= -0.5
-    code, _, err = run(capfd, "sample", str(f), "--trials", "0")
-    assert_bad_input(code, err)
+    for argv in (
+        ["sample", str(f), "--trials", "0"],
+        ["sample", str(f), "--dmax", "0"],
+        ["factor", str(f), "-o", str(tmp_path / "c.json"), "--max-iter", "0"],
+        ["factor", str(f), "-o", str(tmp_path / "c.json"), "--max-iter", "-3"],
+    ):
+        code, _, err = run(capfd, *argv)
+        assert_bad_input(code, err)
 
 
 def test_extend_flag_conflict(tmp_path, capfd):
@@ -223,6 +229,11 @@ def test_bad_header_is_bad_input(tmp_path, capfd):
     # a huge m is refused by the letter count alone, before any letter set is built
     pdfun = jsonio.load_path(h)
     pdfun["m"] = 10**12
+    jsonio.dump_path(h, pdfun)
+    code, _, err = run(capfd, "verify", str(h))
+    assert_bad_input(code, err)
+    # a ball far above the enumeration cap is refused, not walked class by class
+    pdfun.update(m=2, domain={"type": "ball", "n": 40}, entries=[{"word": [], "value": [[[1.0, 0.0]]]}])
     jsonio.dump_path(h, pdfun)
     code, _, err = run(capfd, "verify", str(h))
     assert_bad_input(code, err)

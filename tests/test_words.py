@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freepd.words import (
     E,
@@ -13,18 +15,28 @@ from freepd.words import (
     classes_of_length,
     classes_up_to,
     common_beginning,
+    default_letter_order,
     inverse,
     lex_compare,
     make_word,
-    minimal_word,
     mul,
     reduce_word,
     sphere,
-    word_predecessor,
-    word_successor,
 )
 
 CTX2 = GroupContext(2)
+
+#: F_1, F_2 or F_3 under a random ordering of its letters.
+contexts = st.sampled_from((1, 2, 3)).flatmap(
+    lambda m: st.permutations(default_letter_order(m)).map(lambda order: GroupContext(m, order))
+)
+
+
+def reduced_words(ctx: GroupContext, max_letters: int = 6):
+    return st.lists(st.sampled_from(ctx.letter_order), max_size=max_letters).map(reduce_word)
+
+
+property_test = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def test_mul_examples():
@@ -83,20 +95,26 @@ def test_lex_compare_examples():
     assert lex_compare(s, s, CTX2) == 0
 
 
-def test_lex_compare_total_order():
-    words = ball(CTX2, 2)
-    import random
+@property_test
+@given(st.data())
+def test_lex_compare_total_order(data):
+    # the sign of lex_compare is the sort_key comparison, a total order
+    ctx = data.draw(contexts)
+    a, b = data.draw(reduced_words(ctx)), data.draw(reduced_words(ctx))
+    ka, kb = ctx.sort_key(a), ctx.sort_key(b)
+    assert lex_compare(a, b, ctx) == (ka > kb) - (ka < kb)
+    assert lex_compare(b, a, ctx) == -lex_compare(a, b, ctx)
+    assert lex_compare(a, a, ctx) == 0
 
-    rnd = random.Random(7)
-    for _ in range(300):
-        a, b, c = (rnd.choice(words) for _ in range(3))
-        ab, ba = lex_compare(a, b, CTX2), lex_compare(b, a, CTX2)
-        assert ab == -ba
-        if ab <= 0 and lex_compare(b, c, CTX2) <= 0:
-            assert lex_compare(a, c, CTX2) <= 0
-        assert ab in (-1, 0, 1)
-        if ab == 0:
-            assert a == b
+
+@property_test
+@given(st.data())
+def test_mul_group_laws(data):
+    ctx = data.draw(contexts)
+    s, t, u = (data.draw(reduced_words(ctx)) for _ in range(3))
+    assert mul(mul(s, t), u) == mul(s, mul(t, u))
+    assert mul(s, inverse(s)) == E == mul(inverse(s), s)
+    assert mul(s, E) == s == mul(E, s)
 
 
 def test_letter_order_validation():
@@ -140,20 +158,27 @@ def test_class_canonicalization():
     assert ClassCursor(E, CTX2).members() == (E,)
 
 
-def test_class_enumeration_covers_balls():
-    # the union of all classes up to the last length-n class is exactly S_n
-    for n in range(4):
-        members = set()
-        for cur in classes_up_to(CTX2, n):
-            members.update(cur.members())
-        assert members == set(ball(CTX2, n))
+@property_test
+@given(contexts, st.integers(0, 3))
+def test_class_enumeration_covers_balls(ctx, n):
+    # one cursor per class, at its representative; together they make up S_n
+    members = []
+    for cur in classes_up_to(ctx, n):
+        assert cur.rep == class_rep(cur.rep, ctx)
+        members.extend(cur.members())
+    assert len(members) == len(set(members))
+    assert set(members) == set(ball(ctx, n))
 
 
-def test_class_enumeration_nondecreasing_and_distinct():
-    reps = [c.rep for c in classes_up_to(CTX2, 3)]
-    assert len(reps) == len(set(reps))
-    lengths = [len(r) for r in reps]
-    assert lengths == sorted(lengths)
+@property_test
+@given(contexts, st.integers(0, 3))
+def test_class_enumeration_nondecreasing_and_distinct(ctx, n):
+    # strictly increasing, and successor/predecessor step through the same sequence
+    cursors = list(classes_up_to(ctx, n))
+    for prev, cur in zip(cursors, cursors[1:]):
+        assert prev < cur
+        assert prev.successor() == cur
+        assert cur.predecessor() == prev
 
 
 def test_ball_counts():
@@ -188,21 +213,10 @@ def test_square_longer_than_word():
                 assert len(mul(s, s)) > len(s)
 
 
-def test_word_successor_predecessor_roundtrip():
-    w = E
-    seen = [w]
-    for _ in range(60):
-        w = word_successor(w, CTX2)
-        seen.append(w)
-    assert seen[1:17] == ball(CTX2, 2)[1:]
-    for prev, cur in zip(seen, seen[1:]):
-        assert word_predecessor(cur, CTX2) == prev
-
-
 def test_minimal_word_and_custom_order():
-    assert minimal_word(3, CTX2) == (1, 1, 1)
+    assert next(classes_of_length(CTX2, 3)).rep == (1, 1, 1)
     ctx = GroupContext(2, (-2, 1, 2, -1))
-    assert minimal_word(2, ctx) == (-2, -2)
+    assert next(classes_of_length(ctx, 2)).rep == (-2, -2)
     # class reps depend on the order
     assert class_rep((1, 1), ctx) == (1, 1)
     assert class_rep((2,), ctx) == (-2,)
