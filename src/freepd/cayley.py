@@ -64,6 +64,22 @@ class EdgePredicate:
         return ctx.sort_key(diff) <= self.cutoff.key()
 
 
+def _near_both(ctx: GroupContext, x: Word, r: int) -> set[Word]:
+    """The words within distance r of both e and x.
+
+    Such a word leaves the geodesic [e, x] at some prefix x[:i] by a branch
+    u with |u| <= min(r - i, r - |x| + i), and by the triangle inequality
+    every such product x[:i] u lies in the set.
+    """
+    branches = ball(ctx, max(0, r - (len(x) + 1) // 2))  # the longest branch any prefix allows
+    return {
+        mul(x[:i], u)
+        for i in range(len(x) + 1)
+        for u in branches
+        if len(u) <= min(r - i, r - len(x) + i)
+    }
+
+
 def clique_C(nu: ClassCursor) -> list[Word]:
     """The maximal clique containing {e, s_nu} in the graph with cutoff nu.
 
@@ -74,25 +90,15 @@ def clique_C(nu: ClassCursor) -> list[Word]:
     """
     if nu.rep == E:
         raise ValueError("the unit class adds no edge and has no completion clique")
-    ctx = nu.ctx
-    s = nu.rep
-    n = len(s)
+    ctx, s, nu_key = nu.ctx, nu.rep, nu.key()
     s_inv = inverse(s)
-    nu_key = nu.key()
-    out = [E, s]
-    for t in ball(ctx, n):
-        if t == E or t == s:
-            continue
-        diff = mul(s_inv, t)
-        if len(diff) > n:
-            continue
-        if ctx.sort_key(class_rep(t, ctx)) >= nu_key:
-            continue
-        if ctx.sort_key(class_rep(diff, ctx)) >= nu_key:
-            continue
-        out.append(t)
-    out.sort(key=ctx.sort_key)
-    return out
+
+    def below(w: Word) -> bool:
+        return ctx.sort_key(class_rep(w, ctx)) < nu_key
+
+    # e and s_nu fail the test themselves: each is at class nu from the other
+    out = [t for t in _near_both(ctx, s, len(s)) if below(t) and below(mul(s_inv, t))]
+    return sorted(out + [E, s], key=ctx.sort_key)
 
 
 def sigma_set(ctx: GroupContext, s: Word, t: Word, n: int) -> list[Word]:
@@ -105,9 +111,7 @@ def sigma_set(ctx: GroupContext, s: Word, t: Word, n: int) -> list[Word]:
         raise ValueError(
             f"sigma_set needs d(s, t) = n + 1, got d = {distance(s, t)} with n = {n}"
         )
-    out = [r for r in (mul(s, w) for w in ball(ctx, n)) if distance(r, t) <= n]
-    out.sort(key=ctx.sort_key)
-    return out
+    return sorted((mul(s, w) for w in _near_both(ctx, mul(inverse(s), t), n)), key=ctx.sort_key)
 
 
 def is_chordal(

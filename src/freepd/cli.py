@@ -22,7 +22,6 @@ from .extend import (
     oracle_from_params,
     params_from_json,
     params_to_json,
-    trace_from_json,
     zero_oracle,
 )
 from .linalg import DEFAULT_TOL, NotHermitianError, NotPsdError, Tolerance

@@ -162,12 +162,16 @@ def _coerce_gamma(gamma, shape: tuple[int, int]) -> np.ndarray:
         raise ContractionNormError(
             f"completion parameter has shape {g.shape}, expected {shape}"
         )
+    message = "completion parameter has operator norm {:.12g} > 1"
+    return _renormalized(g, GAMMA_NORM_SLACK, ContractionNormError, message)
+
+
+def _renormalized(g: np.ndarray, slack: float, error: type, message: str) -> np.ndarray:
+    """g scaled back to operator norm 1, or ``error(message.format(norm))`` beyond 1 + slack."""
     if g.size:
         norm = np.linalg.norm(g, 2)
-        if norm > 1.0 + GAMMA_NORM_SLACK:
-            raise ContractionNormError(
-                f"completion parameter has operator norm {norm:.12g} > 1"
-            )
+        if norm > 1.0 + slack:
+            raise error(message.format(norm))
         if norm > 1.0:
             g = g / norm
     return g
@@ -205,13 +209,8 @@ def extract_gamma(
     if not is_psd(P.completed_with(F), tol):
         raise CompletionError("the proposed entry does not give a PSD completion")
     g = pinv(dd.defect_k.conj().T, tol) @ (F - dd.central) @ pinv(dd.defect_l, tol)
-    if g.size:
-        norm = np.linalg.norm(g, 2)
-        if norm > 1.0 + 1e-6:
-            raise CompletionError(
-                f"extracted parameter has operator norm {norm:.6g}; "
-                "the completion is inconsistent with the defect geometry"
-            )
-        if norm > 1.0:
-            g = g / norm
-    return g
+    message = (
+        "extracted parameter has operator norm {:.6g}; "
+        "the completion is inconsistent with the defect geometry"
+    )
+    return _renormalized(g, 1e-6, CompletionError, message)

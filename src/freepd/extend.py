@@ -36,7 +36,7 @@ from .words import (
     ClassCursor,
     GroupContext,
     Word,
-    ball,
+    check_ball_cap,
     classes_of_length,
 )
 
@@ -191,7 +191,7 @@ def extend_to_ball(
     if N < n:
         raise ValueError(f"cannot extend from S_{n} down to S_{N}")
     ctx, k = phi.ctx, phi.k
-    ball(ctx, N)  # enforce the enumeration cap before any work
+    check_ball_cap(ctx.m, N)  # refuse before any work
     store = {rep: phi.value(rep) for rep in phi.class_reps()}
     hidden = np.zeros((k, k), dtype=complex)
     steps: list[ExtensionStep] = []
@@ -271,8 +271,7 @@ def check_max_orthogonal(
     for cursor in classes_of_length(phi.ctx, n + 1):
         t = cursor.rep
         sigma = sigma_set(phi.ctx, E, t, n)
-        S = sigma + [w for w in (E, t) if w not in sigma]
-        S.sort(key=phi.ctx.sort_key)
+        S = sorted(sigma + [E, t], key=phi.ctx.sort_key)  # e, t lie n + 1 apart, outside sigma
         G = gram(phi, S)
         W = gram_factor(G.blocks, lin_tol)
         cols = {w: W[:, i * k : (i + 1) * k] for i, w in enumerate(S)}

@@ -27,7 +27,7 @@ import numpy as np
 from . import jsonio
 from .linalg import _psd_clip, as_matrix
 from .sampling import haar_unitary
-from .words import E, GroupContext, Word, ball, inverse, mul, reduce_word
+from .words import GroupContext, Word, ball, inverse, mul, pair_table, reduce_word
 
 
 class NcContextError(ValueError):
@@ -67,9 +67,6 @@ class NcPolynomial:
     def coefficient(self, word: Word) -> np.ndarray:
         w = reduce_word(word)
         return self.terms.get(w, np.zeros((self.c, self.c), dtype=complex))
-
-    def support(self) -> list[Word]:
-        return sorted(self.terms, key=self.ctx.sort_key)
 
     def is_hermitian(self, atol: float = 1e-10) -> bool:
         return all(
@@ -126,13 +123,14 @@ class NcPolynomial:
         )
 
     def to_json_dict(self) -> dict:
+        """The ``ncpoly.v1`` document; it names no letter order, so terms go in the default one."""
         return {
             "schema": "ncpoly.v1",
             "m": self.ctx.m,
             "c": self.c,
             "terms": [
                 {"word": jsonio.word_to_json(w), "value": jsonio.matrix_to_json(self.terms[w])}
-                for w in self.support()
+                for w in sorted(self.terms, key=GroupContext(self.ctx.m).sort_key)
             ],
         }
 
@@ -230,34 +228,19 @@ class InfeasibleReport:
     iterations: int
 
 
-def _coefficient_classes(ctx: GroupContext, index: list[Word]):
-    """Group the index pairs (i, j) by the word s_i^-1 s_j."""
-    cls_of: dict[Word, int] = {}
-    pair_class = np.empty(len(index) * len(index), dtype=int)
-    pos = 0
-    for s in index:
-        si = inverse(s)
-        for t in index:
-            x = mul(si, t)
-            pair_class[pos] = cls_of.setdefault(x, len(cls_of))
-            pos += 1
-    return pair_class, list(cls_of)
-
-
 class _GramProblem:
     """Vectorized block-sum machinery for the Gram feasibility search."""
 
     def __init__(self, p: NcPolynomial, index: list[Word]):
         c = p.c
         N = len(index)
-        pair_class, class_words = _coefficient_classes(p.ctx, index)
+        table, class_words = pair_table(index)
         ar = np.arange(c)
-        ii, jj = np.divmod(np.arange(len(pair_class)), N)
+        ii, jj = np.divmod(np.arange(N * N), N)
         self.rows = ii[:, None, None] * c + np.broadcast_to(ar[:, None], (c, c))
         self.cols = jj[:, None, None] * c + np.broadcast_to(ar[None, :], (c, c))
-        self.cls = pair_class
-        self.class_words = class_words
-        self.counts = np.bincount(pair_class, minlength=len(class_words)).astype(float)
+        self.cls = table.reshape(-1)
+        self.counts = np.bincount(self.cls, minlength=len(class_words)).astype(float)
         self.targets = np.stack([p.coefficient(w) for w in class_words])
         self.c = c
         self.size = N * c

@@ -41,6 +41,7 @@ from .words import (
     classes_up_to,
     inverse,
     mul,
+    pair_table,
     reduce_word,
     sphere,
 )
@@ -281,23 +282,22 @@ def gram_blocks(
 ) -> np.ndarray:
     """The blocked matrix [Phi(s^-1 t)] over reduced ``words``, from a class store.
 
-    This is the one Gram-assembly loop: :func:`gram` and the extension
-    engine's completion windows both go through it.  A missing class raises
-    :class:`MissingValueError` naming the offending pair.
+    The one Gram assembly, for :func:`gram` and the engine's windows: one value
+    per distinct word of :func:`pair_table`, then one gather.  A missing class
+    raises :class:`MissingValueError` naming the first offending pair.
     """
+    table, diffs = pair_table(words)
+    values = np.empty((len(diffs), k, k), dtype=complex)
+    for d, x in enumerate(diffs):
+        try:
+            values[d] = _class_value(store, ctx, x)
+        except KeyError:
+            i, j = np.argwhere(table == d)[0]  # diffs are numbered by first appearance
+            raise MissingValueError(
+                f"gram entry ({words[i]}, {words[j]}) needs a value at {x}, outside the domain"
+            ) from None
     N = len(words)
-    A = np.empty((N * k, N * k), dtype=complex)
-    for i, s in enumerate(words):
-        s_inv = inverse(s)
-        for j, t in enumerate(words):
-            x = mul(s_inv, t)
-            try:
-                A[i * k : (i + 1) * k, j * k : (j + 1) * k] = _class_value(store, ctx, x)
-            except KeyError:
-                raise MissingValueError(
-                    f"gram entry ({s}, {t}) needs a value at {x}, outside the domain"
-                ) from None
-    return A
+    return values[table].transpose(0, 2, 1, 3).reshape(N * k, N * k)
 
 
 def gram(phi: PdFunction, S: Sequence[Word]) -> GramMatrix:
@@ -394,23 +394,22 @@ def function_of_toeplitz(
         raise ValueError(f"index set is not the ball S_{n}")
     pos = {w: i for i, w in enumerate(index)}
     scale = max(1.0, np.abs(M.blocks).max(initial=0.0))
-    first_pair: dict[Word, tuple[int, int]] = {}
-    for i, s in enumerate(index):
-        for j, t in enumerate(index):
-            x = mul(inverse(s), t)
-            if x in first_pair:
-                a, b = first_pair[x]
-                if np.abs(M.block(i, j) - M.block(a, b)).max() > 1e-12 * scale:
-                    raise ValueError(
-                        f"not Toeplitz: blocks at ({index[a]}, {index[b]}) and "
-                        f"({s}, {t}) differ although both index {x}"
-                    )
-            else:
-                first_pair[x] = (i, j)
+    N, k = len(index), M.k
+    table, diffs = pair_table(index)
+    flat = table.reshape(-1)
+    first = np.unique(flat, return_index=True)[1][flat]  # the first pair indexing each word
+    blocks = M.blocks.reshape(N, k, N, k).transpose(0, 2, 1, 3).reshape(N * N, k, k)
+    bad = np.flatnonzero(np.abs(blocks - blocks[first]).max(axis=(1, 2)) > 1e-12 * scale)
+    if bad.size:
+        (a, b), (i, j) = divmod(first[bad[0]], N), divmod(bad[0], N)
+        raise ValueError(
+            f"not Toeplitz: blocks at ({index[a]}, {index[b]}) and "
+            f"({index[i]}, {index[j]}) differ although both index {diffs[flat[bad[0]]]}"
+        )
     if not is_psd(M.blocks, tol):
         raise NotPsdError("the Toeplitz matrix is not positive semidefinite")
     values: dict[Word, np.ndarray] = {}
-    for x in first_pair:
+    for x in diffs:
         rep = class_rep(x, ctx)
         if rep in values:
             continue

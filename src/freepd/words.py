@@ -19,6 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 Word = tuple
 
 #: The unit element (empty word).
@@ -167,6 +169,15 @@ def ball_size(m: int, n: int) -> int:
     return sum(sphere_size(m, j) for j in range(n + 1))
 
 
+def check_ball_cap(m: int, n: int, cap: int = DEFAULT_BALL_CAP) -> None:
+    """Refuse a ball of radius n in F_m with more than ``cap`` words."""
+    total = ball_size(m, n)
+    if total > cap:
+        raise BallSizeError(
+            f"ball of radius {n} in F_{m} has {total} words, above the cap of {cap}"
+        )
+
+
 def sphere(ctx: GroupContext, n: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
     """All reduced words of length exactly n, in lexicographic order."""
     if n < 0:
@@ -198,15 +209,21 @@ def ball(ctx: GroupContext, n: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
     """All reduced words of length at most n, sorted by the lexicographic order."""
     if n < 0:
         raise ValueError("ball radius must be nonnegative")
-    total = ball_size(ctx.m, n)
-    if total > cap:
-        raise BallSizeError(
-            f"ball of radius {n} in F_{ctx.m} has {total} words, above the cap of {cap}"
-        )
+    check_ball_cap(ctx.m, n, cap)
     out: list[Word] = []
     for j in range(n + 1):
         out.extend(sphere(ctx, j, cap=cap))
     return out
+
+
+def pair_table(index: Sequence[Word]) -> tuple[np.ndarray, list[Word]]:
+    """The N x N table of ids of index[i]^-1 index[j], and the distinct words by id.
+
+    Equal words share an id; ids count up in order of first appearance, row by row.
+    """
+    ids: dict[Word, int] = {}
+    flat = [ids.setdefault(mul(s_inv, t), len(ids)) for s_inv in map(inverse, index) for t in index]
+    return np.array(flat, dtype=np.intp).reshape(len(index), len(index)), list(ids)
 
 
 @dataclass(frozen=True)

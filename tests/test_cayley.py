@@ -2,11 +2,57 @@ import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freepd.cayley import EdgePredicate, clique_C, distance, is_chordal, sigma_set, tree_median
-from freepd.words import E, ClassCursor, GroupContext, ball, classes_up_to, inverse, mul
+from freepd.words import (
+    E,
+    ClassCursor,
+    GroupContext,
+    ball,
+    class_rep,
+    classes_up_to,
+    default_letter_order,
+    inverse,
+    mul,
+)
 
 CTX2 = GroupContext(2)
+
+#: F_1, F_2 or F_3 under a random ordering of its letters.
+contexts = st.sampled_from((1, 2, 3)).flatmap(
+    lambda m: st.permutations(default_letter_order(m)).map(lambda order: GroupContext(m, order))
+)
+
+property_test = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def draw_word(data, ctx: GroupContext, length: int):
+    """A reduced word of exactly ``length`` letters."""
+    w = ()
+    for _ in range(length):
+        w += (data.draw(st.sampled_from([x for x in ctx.letter_order if not w or x != -w[-1]])),)
+    return w
+
+
+def clique_by_ball_filter(nu: ClassCursor):
+    """Reference for clique_C: scan the whole ball S_|s| and keep the common neighbours."""
+    ctx, s = nu.ctx, nu.rep
+    n = len(s)
+    out = [E, s]
+    for t in ball(ctx, n):
+        diff = mul(inverse(s), t)
+        if t in (E, s) or len(diff) > n:
+            continue
+        if ctx.sort_key(class_rep(t, ctx)) < nu.key() and ctx.sort_key(class_rep(diff, ctx)) < nu.key():
+            out.append(t)
+    return sorted(out, key=ctx.sort_key)
+
+
+def sigma_by_ball_filter(ctx: GroupContext, s, t, n: int):
+    """Reference for sigma_set: translate S_n to s and keep the words within n of t."""
+    return sorted((r for r in (mul(s, w) for w in ball(ctx, n)) if distance(r, t) <= n), key=ctx.sort_key)
 
 
 def test_distance_examples():
@@ -58,6 +104,24 @@ def test_clique_examples():
     assert clique_C(ClassCursor((1,), CTX2)) == [E, (1,)]
     with pytest.raises(ValueError):
         clique_C(ClassCursor(E, CTX2))
+
+
+@property_test
+@given(st.data())
+def test_clique_C_equals_ball_filter(data):
+    ctx = data.draw(contexts)
+    nu = ClassCursor(draw_word(data, ctx, data.draw(st.integers(1, 4))), ctx)
+    assert clique_C(nu) == clique_by_ball_filter(nu)
+
+
+@property_test
+@given(st.data())
+def test_sigma_set_equals_ball_filter(data):
+    ctx = data.draw(contexts)
+    s = draw_word(data, ctx, data.draw(st.integers(0, 4)))
+    n = data.draw(st.integers(0, 3))
+    t = mul(s, draw_word(data, ctx, n + 1))
+    assert sigma_set(ctx, s, t, n) == sigma_by_ball_filter(ctx, s, t, n)
 
 
 def test_clique_is_clique_with_unique_new_edge():

@@ -88,6 +88,13 @@ def test_malformed_input_exits_2(tmp_path, capfd):
     ):
         code, _, err = run(capfd, *argv)
         assert_bad_input(code, err)
+    h = tmp_path / "h.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "2", "-o", str(h))
+    code, _, err = run(capfd, "extend", str(h), "--to", "12", "-o", str(tmp_path / "x.json"))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == (
+        "ball of radius 12 in F_2 has 1062881 words, above the cap of 200000"
+    )
     with pytest.raises(SystemExit) as exc:
         main(["extend", "--help"])
     assert exc.value.code == 0

@@ -20,6 +20,7 @@ from freepd.words import (
     lex_compare,
     make_word,
     mul,
+    pair_table,
     reduce_word,
     sphere,
 )
@@ -115,6 +116,23 @@ def test_mul_group_laws(data):
     assert mul(mul(s, t), u) == mul(s, mul(t, u))
     assert mul(s, inverse(s)) == E == mul(inverse(s), s)
     assert mul(s, E) == s == mul(E, s)
+
+
+@property_test
+@given(st.data())
+def test_pair_table_maps_every_pair_to_its_difference(data):
+    ctx = data.draw(contexts)
+    # short words from few letters, so that repeats and equal differences occur
+    index = data.draw(st.lists(reduced_words(ctx, max_letters=4), max_size=8))
+    table, diffs = pair_table(index)
+    assert table.shape == (len(index), len(index))
+    assert len(set(diffs)) == len(diffs)  # equal words share an id
+    for i, s in enumerate(index):
+        for j, t in enumerate(index):
+            assert diffs[table[i, j]] == mul(inverse(s), t)
+    # ids count up in order of first appearance, row by row
+    seen = list(dict.fromkeys(table.reshape(-1).tolist()))
+    assert seen == list(range(len(diffs)))
 
 
 def test_letter_order_validation():
