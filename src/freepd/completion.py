@@ -18,6 +18,14 @@ of the (k, l) entry has the form
 a Szego-parameter-like correspondence that :func:`extract_gamma` inverts.
 The empty-E convention (pseudo-inverse over no indices is the zero map)
 gives central completion 0 for a 2x2 with unknown off-diagonal entry.
+
+:func:`analyze` reads all of this from one eigendecomposition
+A[E,E] = V diag(w) V*.  Eigenvalues above |E| * eps * max(w) are kept,
+A[E,E]^+ is V_keep diag(w_keep)^-1 V_keep*, and with
+R_x = diag(w_keep)^(-1/2) V_keep* A[E,x] the Schur complement is
+S_x = A[x,x] - R_x* R_x.  The cut is the rounding level of the window,
+not a user tolerance: a coarser cut projects away directions that a
+nearly singular window still resolves.
 """
 
 from __future__ import annotations
@@ -78,17 +86,6 @@ class PartialBlockMatrix:
         k = self.k
         return self.entries[i * k : (i + 1) * k, j * k : (j + 1) * k]
 
-    def _sub(self, rows: list[int], cols: list[int]) -> np.ndarray:
-        k = self.k
-        ridx = np.concatenate([np.arange(r * k, (r + 1) * k) for r in rows]) if rows else np.empty(0, int)
-        cidx = np.concatenate([np.arange(c * k, (c + 1) * k) for c in cols]) if cols else np.empty(0, int)
-        return self.entries[np.ix_(ridx, cidx)]
-
-    def principal_without(self, drop: int) -> np.ndarray:
-        """The fully specified principal submatrix omitting block index ``drop``."""
-        keep = [i for i in range(self.p) if i != drop]
-        return self._sub(keep, keep)
-
     def completed_with(self, filled: np.ndarray) -> np.ndarray:
         """Dense matrix with the missing pair set to ``filled`` and its adjoint."""
         i, j = self.missing
@@ -118,39 +115,41 @@ class DefectData:
         return (self.defect_k.shape[0], self.defect_l.shape[0])
 
 
-def _check_partial_positivity(P: PartialBlockMatrix, tol: Tolerance):
-    i, j = P.missing
-    for drop, name in ((j, f"submatrix without block {j}"), (i, f"submatrix without block {i}")):
-        if not is_psd(P.principal_without(drop), tol):
-            raise PartialPositivityError(
-                f"partial positivity violated: {name} is not PSD"
-            )
-
-
 def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DefectData:
     """Central entry and defect factors of a partially positive matrix.
 
     Raises :class:`PartialPositivityError` (naming the offending
     submatrix) when a fully specified principal submatrix is not PSD.
+    In the eigenbasis of A[E,E], the submatrix over E + {x} is PSD exactly
+    when [[diag(w_drop), V_drop* A[E,x]], [., S_x]] is: the V_drop rows
+    catch a column x with a component in the null space of A[E,E].
     """
-    _check_partial_positivity(P, tol)
     i, j = P.missing
-    others = [a for a in range(P.p) if a not in (i, j)]
-    A_EE = P._sub(others, others)
-    A_kE = P._sub([i], others)
-    A_El = P._sub(others, [j])
-    A_Ek = P._sub(others, [i])
-    A_lE = P._sub([j], others)
-    EEp = pinv(A_EE, tol)
-    central = A_kE @ EEp @ A_El
-    S_k = P.block(i, i) - A_kE @ EEp @ A_Ek
-    S_l = P.block(j, j) - A_lE @ EEp @ A_El
-    S_k = (S_k + S_k.conj().T) / 2.0
-    S_l = (S_l + S_l.conj().T) / 2.0
+    k = P.k
+    others = np.delete(np.arange(P.p * k).reshape(P.p, k), (i, j), axis=0).ravel()
+    rows = P.entries[others]
+    A_EE = rows[:, others]
+    w, V = np.linalg.eigh(A_EE)
+    keep = w > others.size * np.finfo(float).eps * max(w.max(initial=0.0), 0.0)
+    w_drop = np.diag(w[~keep])
+    scale = max(1.0, np.abs(w).max(initial=0.0))
+    S = []
+    for x, y in ((i, j), (j, i)):
+        B = V.conj().T @ rows[:, x * k : (x + 1) * k]
+        R_x = B[keep] / np.sqrt(w[keep])[:, None]
+        S_x = P.block(x, x) - R_x.conj().T @ R_x
+        S.append((S_x + S_x.conj().T) / 2.0)
+        mu = np.linalg.eigvalsh(np.block([[w_drop, B[~keep]], [B[~keep].conj().T, S[-1]]]))
+        if mu.min() < -tol.psd_eps * max(scale, np.abs(mu).max()):
+            raise PartialPositivityError(
+                f"partial positivity violated: submatrix without block {y} is not PSD"
+            )
+    # the last pass had x = l, so B = V* A[E,l]
+    A_kE = P.entries[i * k : (i + 1) * k, others]
     return DefectData(
-        central=central,
-        defect_k=gram_factor(S_k, tol),
-        defect_l=gram_factor(S_l, tol),
+        central=A_kE @ (V[:, keep] @ (B[keep] / w[keep][:, None])),
+        defect_k=gram_factor(S[0], tol),
+        defect_l=gram_factor(S[1], tol),
     )
 
 

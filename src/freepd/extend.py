@@ -29,7 +29,7 @@ from .completion import (
     complete,
     extract_gamma,
 )
-from .linalg import DEFAULT_TOL, Tolerance, gram_factor, pinv
+from .linalg import DEFAULT_TOL, Tolerance
 from .pdfun import BallDomain, PdFunction, gram, gram_blocks
 from .words import (
     E,
@@ -256,33 +256,25 @@ def check_max_orthogonal(
     """Check the defining orthogonality of the central extension at gap n + 1.
 
     For each class representative t of length n + 1, take the set Sigma of
-    words within distance n of both e and t, factor the Gram matrix of
-    Sigma + {e, t} into Kolmogorov columns, and require the residuals of
+    words within distance n of both e and t.  The residuals rho_e, rho_t of
     omega_e and omega_t after projection onto span{omega_r : r in Sigma}
-    to be orthogonal within ``tol``.  By translation invariance the
-    representatives cover all pairs at distance n + 1.
+    pair to rho_e* rho_t = Phi(t) - A[e,Sigma] A[Sigma,Sigma]^+ A[Sigma,t],
+    the distance of Phi(t) from the central value of the Gram window of
+    Sigma + {e, t} with (e, t) hidden; it must vanish within ``tol``.  By
+    translation invariance the representatives cover all pairs at
+    distance n + 1.
     """
     N = phi.ball_radius()
     if N < n + 1:
         raise ValueError(f"needs values on S_{n + 1}, but the domain is S_{N}")
-    k = phi.k
     worst = 0.0
     worst_class: ClassCursor | None = None
     for cursor in classes_of_length(phi.ctx, n + 1):
         t = cursor.rep
-        sigma = sigma_set(phi.ctx, E, t, n)
-        S = sorted(sigma + [E, t], key=phi.ctx.sort_key)  # e, t lie n + 1 apart, outside sigma
-        G = gram(phi, S)
-        W = gram_factor(G.blocks, lin_tol)
-        cols = {w: W[:, i * k : (i + 1) * k] for i, w in enumerate(S)}
-        if sigma:
-            Q = np.hstack([cols[r] for r in sigma])
-            proj = Q @ pinv(Q, lin_tol)
-            rho_e = cols[E] - proj @ cols[E]
-            rho_t = cols[t] - proj @ cols[t]
-        else:
-            rho_e, rho_t = cols[E], cols[t]
-        violation = float(np.linalg.norm(rho_e.conj().T @ rho_t, 2))
+        # e and t lie n + 1 apart, so neither is in Sigma
+        S = sorted(sigma_set(phi.ctx, E, t, n) + [E, t], key=phi.ctx.sort_key)
+        P = PartialBlockMatrix(gram(phi, S).blocks, (S.index(E), S.index(t)), phi.k)
+        violation = float(np.linalg.norm(phi.value(t) - analyze(P, lin_tol).central, 2))
         if violation > worst:
             worst = violation
             worst_class = cursor

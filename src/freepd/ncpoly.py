@@ -145,12 +145,13 @@ def ncpolynomial_from_json(doc: dict) -> NcPolynomial:
     return NcPolynomial(ctx, c, terms)
 
 
-def eval_word(unitaries: Sequence[np.ndarray], word: Word) -> np.ndarray:
-    d = unitaries[0].shape[0]
+def eval_word(blocks: Sequence[np.ndarray], word: Word) -> np.ndarray:
+    """The letterwise product: blocks[i - 1] for the letter +i, its adjoint for -i."""
+    d = blocks[0].shape[0]
     out = np.eye(d, dtype=complex)
     for x in word:
-        U = unitaries[abs(x) - 1]
-        out = out @ (U if x > 0 else U.conj().T)
+        B = blocks[abs(x) - 1]
+        out = out @ (B if x > 0 else B.conj().T)
     return out
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
+from .ncpoly import eval_word
 from .pdfun import BallDomain, PdFunction
 from .words import GroupContext, Word, reduce_word
 
@@ -52,11 +53,7 @@ class GeneratorAssignment:
 
 def quasi_mult(g: GeneratorAssignment, s: Word) -> np.ndarray:
     """Phi(s): the letterwise product of generator blocks and their adjoints."""
-    out = np.eye(g.k, dtype=complex)
-    for x in reduce_word(s):
-        B = g.blocks[abs(x) - 1]
-        out = out @ (B if x > 0 else B.conj().T)
-    return out
+    return eval_word(g.blocks, reduce_word(s))
 
 
 def as_pdfunction(g: GeneratorAssignment, n: int) -> PdFunction:

@@ -109,12 +109,18 @@ def inverse(s: Word) -> Word:
 def mul(s: Word, t: Word) -> Word:
     """Product of two reduced words, with cancellation at the seam.
 
+    Only the tail of s and the head of t can cancel, so the letters
+    either side of the seam are stripped in pairs and the rest joined.
+
     >>> mul((1, 2), (-2, -1))
     ()
     >>> mul((1, 2), (-2, 1))
     (1, 1)
     """
-    return reduce_word(s + t)
+    i, n = 0, min(len(s), len(t))
+    while i < n and s[-1 - i] == -t[i]:
+        i += 1
+    return s[: len(s) - i] + t[i:]
 
 
 def common_beginning(ws: Sequence[Word]) -> Word:

@@ -162,6 +162,33 @@ def test_check_ortho_flags_random_extension(tmp_path, capfd):
     assert json.loads(err)["error"] == "orthogonality-violation"
 
 
+def test_check_ortho_on_non_positive_input(tmp_path, capfd):
+    # Phi(a_1) = 1.5 on S_1 is not positive definite; at level 0 the window
+    # is {e, a_1}, whose central value is 0, so the violation is 1.5
+    f = tmp_path / "bad.json"
+    doc = {
+        "schema": "pdfun.v1",
+        "m": 2,
+        "k": 1,
+        "letter_order": [1, -1, 2, -2],
+        "domain": {"type": "ball", "n": 1},
+        "entries": [
+            {"word": [], "value": [[[1.0, 0.0]]]},
+            {"word": [1], "value": [[[1.5, 0.0]]]},
+            {"word": [2], "value": [[[0.0, 0.0]]]},
+        ],
+    }
+    jsonio.dump_path(f, doc)
+    code, out, err = run(capfd, "check-ortho", str(f), "--level", "0")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["worst_violation"] == pytest.approx(1.5)
+    diag = json.loads(err)
+    assert diag["error"] == "orthogonality-violation"
+    assert diag["worst_class"] == [1]
+
+
 def test_radialize_cli(tmp_path, capfd):
     h = tmp_path / "h.json"
     run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "2", "-o", str(h))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freepd.completion import (
     CompletionError,
@@ -181,3 +183,59 @@ def test_rank_monotone_at_boundary():
         full = complete(P, g)
         w = np.linalg.eigvalsh(full)
         assert (w > 1e-10 * w.max()).sum() < 4 * k
+
+
+def test_null_column_breaks_partial_positivity():
+    # A[E,E] = [[1, 1], [1, 1]] is singular and column 0 has a component
+    # (1/sqrt 2) along its null vector: the Schur complement of column 0
+    # over the kept eigenvalue is 1, yet the submatrix on {0, 1, 2} is not PSD
+    A = np.array(
+        [
+            [1.0, 0.5, -0.5, 0.0],
+            [0.5, 1.0, 1.0, 0.3],
+            [-0.5, 1.0, 1.0, 0.3],
+            [0.0, 0.3, 0.3, 1.0],
+        ]
+    )
+    with pytest.raises(PartialPositivityError, match="submatrix without block 3"):
+        analyze(hide_pair(A, (0, 3), 1))
+
+
+@st.composite
+def singular_windows(draw):
+    """A PSD Gram window whose known part A[E,E] is singular.
+
+    The E-columns span fewer than |E| k dimensions; the two missing-pair
+    columns are generic, so each has a component outside that span and
+    they are independent of each other.
+    """
+    k = draw(st.integers(1, 2))
+    p = draw(st.integers(3, 6))
+    rank = draw(st.integers(0, (p - 2) * k - 1))
+    i, j = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = rank + 2 * k
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    span = normal(dim, rank)
+    cols = []
+    for a in range(p):
+        cols.append(normal(dim, k) if a in (i, j) else span @ normal(rank, k))
+    W = np.hstack(cols)
+    return hide_pair(W.conj().T @ W, (i, j), k), rng
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(singular_windows())
+def test_complete_extract_roundtrip_on_singular_windows(window):
+    P, rng = window
+    dd = analyze(P)
+    k = P.k
+    for F in (dd.defect_k, dd.defect_l):
+        assume(F.shape[0] == k and np.linalg.svd(F, compute_uv=False).min() ** 2 >= 1e-6)
+    g0 = random_contraction(dd.gamma_shape, rng, norm=rng.uniform(0, 0.99))
+    i, j = P.missing
+    filled = complete(P, g0)[i * k : (i + 1) * k, j * k : (j + 1) * k]
+    assert np.abs(extract_gamma(P, filled) - g0).max() <= 1e-8

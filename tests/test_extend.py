@@ -253,3 +253,90 @@ def test_quasimultiplicative_orthogonal_at_every_level():
     for level in (1, 2, 3):
         report = check_max_orthogonal(phi, level, tol=1e-8)
         assert report.ok, (level, report.worst_violation)
+
+
+def levinson(gammas):
+    """Toeplitz values c_0..c_N of Szego parameters, and the prediction errors.
+
+    An independent reference for F_1: at step n, f and b hold the
+    coefficients, on omega_0..omega_N, of the residuals of omega_n and of
+    omega_0 after projection onto span{omega_1..omega_(n-1)}, and
+    errors[n - 1] is their common squared norm.
+    """
+    N = len(gammas)
+    c = np.zeros(N + 1, dtype=complex)
+    c[0] = 1.0
+    f = np.zeros(N + 2, dtype=complex)
+    b = np.zeros(N + 2, dtype=complex)
+    f[1], b[0] = 1.0, 1.0
+    errors = [1.0]
+    for n, g in enumerate(gammas, start=1):
+        central = -sum(
+            np.conj(b[i]) * f[j] * (c[j - i] if j >= i else np.conj(c[i - j]))
+            for i in range(n)
+            for j in range(1, n + 1)
+            if (i, j) != (0, n)
+        )
+        c[n] = central + g * errors[-1]
+        f, b = np.roll(f, 1) - g * np.roll(b, 1), b - np.conj(g) * f
+        errors.append(errors[-1] * (1 - abs(g) ** 2))
+    return c, errors
+
+
+def test_levinson_reference_is_the_one_entry_completion():
+    # the reference itself, against the completion formula on the Toeplitz matrix
+    rng = np.random.default_rng(11)
+    gammas = rng.uniform(0, 0.9, 8) * np.exp(2j * np.pi * rng.uniform(size=8))
+    c, errors = levinson(gammas)
+    for n in range(2, 9):
+        T = np.array([[c[j - i] if j >= i else np.conj(c[i - j]) for j in range(n + 1)] for i in range(n + 1)])
+        mid = list(range(1, n))
+        x = np.linalg.solve(T[np.ix_(mid, mid)], T[mid, n])
+        assert abs(1 - T[n, mid] @ x - errors[n - 1]) <= 1e-12
+        assert abs(T[0, mid] @ x + gammas[n - 1] * errors[n - 1] - c[n]) <= 1e-12
+
+
+@pytest.mark.parametrize("heavy", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_f1_extension_is_the_szego_recursion(seed, heavy):
+    # on F_1 the engine's steps are the Szego recursion: from Phi(a) = gamma_1,
+    # the oracle's gamma_n at a^n must give the Levinson values c_n; in the
+    # heavy set 30 % of the |gamma_n| are 0.999, so the errors fall below 1e-24
+    N = 30
+    rng = np.random.default_rng(seed)
+    modulus = rng.uniform(0, 0.999, N)
+    if heavy:
+        modulus[rng.choice(N, size=3 * N // 10, replace=False)] = 0.999
+    gammas = modulus * np.exp(2j * np.pi * rng.uniform(size=N))
+    c, errors = levinson(gammas)
+    determinate = []
+
+    def oracle(cursor, defects):
+        n = cursor.length
+        if defects.gamma_shape == (1, 1):
+            return np.array([[gammas[n - 1]]])
+        determinate.append(n)  # the engine resolves no defect here
+        return np.zeros(defects.gamma_shape)
+
+    phi = PdFunction(CTX1, 1, BallDomain(1), {E: np.eye(1), (1,): np.array([[gammas[0]]])})
+    out, _ = extend_to_ball(phi, N, oracle)
+    assert max(abs(out.value((1,) * n)[0, 0] - c[n]) for n in range(N + 1)) <= 1e-8
+    # a defect may only go unresolved where the reference defect is negligible
+    assert all(errors[n - 1] <= 1e-10 for n in determinate), determinate
+
+
+def test_random_oracle_extension_stays_positive_at_radius_5():
+    for seed in range(6):
+        phi = random_pd_function(CTX2, 1, 2, np.random.default_rng(seed))
+        out, _ = extend_to_ball(phi, 5, random_gamma_oracle(seed))
+        res = verify_pd(out)
+        assert res.ok, (seed, res.min_eigenvalue)
+
+
+def test_extract_replay_values_at_radius_4():
+    for seed in range(6):
+        phi = random_pd_function(CTX2, 1, 2, np.random.default_rng(seed))
+        out, _ = extend_to_ball(phi, 4, random_gamma_oracle(seed))
+        replay, _ = extend_to_ball(phi, 4, oracle_from_params(extract_params(out, 2)))
+        drift = max(np.abs(replay.value(w) - out.value(w)).max() for w in ball(CTX2, 4))
+        assert drift <= 1e-8, (seed, drift)

@@ -116,6 +116,7 @@ def test_mul_group_laws(data):
     assert mul(mul(s, t), u) == mul(s, mul(t, u))
     assert mul(s, inverse(s)) == E == mul(inverse(s), s)
     assert mul(s, E) == s == mul(E, s)
+    assert mul(s, t) == reduce_word(s + t)
 
 
 @property_test
