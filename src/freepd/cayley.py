@@ -22,7 +22,7 @@ from .words import (
     ClassCursor,
     GroupContext,
     Word,
-    ball,
+    WordIndex,
     class_rep,
     common_beginning,
     inverse,
@@ -64,54 +64,49 @@ class EdgePredicate:
         return ctx.sort_key(diff) <= self.cutoff.key()
 
 
-def _near_both(ctx: GroupContext, x: Word, r: int) -> set[Word]:
-    """The words within distance r of both e and x.
-
-    Such a word leaves the geodesic [e, x] at some prefix x[:i] by a branch
-    u with |u| <= min(r - i, r - |x| + i), and by the triangle inequality
-    every such product x[:i] u lies in the set.
-    """
-    branches = ball(ctx, max(0, r - (len(x) + 1) // 2))  # the longest branch any prefix allows
-    return {
-        mul(x[:i], u)
-        for i in range(len(x) + 1)
-        for u in branches
-        if len(u) <= min(r - i, r - len(x) + i)
-    }
-
-
-def clique_C(nu: ClassCursor) -> list[Word]:
+def clique_C(nu: ClassCursor, index: WordIndex | None = None) -> list[Word]:
     """The maximal clique containing {e, s_nu} in the graph with cutoff nu.
 
     Its members besides e and s_nu are the common neighbours of the pair
     in the previous graph: the words t with both t and s_nu^-1 t of class
     strictly below nu.  The pair {e, s_nu} is the clique's only edge of
-    class nu.  Sorted by the lexicographic order.
+    class nu.  Sorted by the lexicographic order.  ``index`` must reach
+    |s_nu|; by default one of that radius is built.
     """
     if nu.rep == E:
         raise ValueError("the unit class adds no edge and has no completion clique")
-    ctx, s, nu_key = nu.ctx, nu.rep, nu.key()
-    s_inv = inverse(s)
+    if index is None:
+        index = WordIndex(nu.ctx, len(nu.rep))
+    s = index.ids[nu.rep]
+    # a word of class below nu is no longer than s_nu, so the candidates are S_|s_nu|
+    ball_ids = np.arange(index.ends[len(nu.rep)])
+    below = index.cls[ball_ids] < index.cls[s]
+    below &= index.cls[index.diffs([s], ball_ids)[0]] < index.cls[s]
+    below[[0, s]] = True  # e and s_nu, each at class nu from the other
+    return [index.words[i] for i in np.flatnonzero(below).tolist()]
 
-    def below(w: Word) -> bool:
-        return ctx.sort_key(class_rep(w, ctx)) < nu_key
 
-    # e and s_nu fail the test themselves: each is at class nu from the other
-    out = [t for t in _near_both(ctx, s, len(s)) if below(t) and below(mul(s_inv, t))]
-    return sorted(out + [E, s], key=ctx.sort_key)
-
-
-def sigma_set(ctx: GroupContext, s: Word, t: Word, n: int) -> list[Word]:
+def sigma_set(
+    ctx: GroupContext, s: Word, t: Word, n: int, index: WordIndex | None = None
+) -> list[Word]:
     """The words within distance n of both s and t, for d(s, t) = n + 1.
 
     This is the common-neighbour clique of the pair across a one-step
-    distance gap; its members are pairwise at distance at most n.
+    distance gap; its members are pairwise at distance at most n.  They are
+    the s u with u in S_n and x^-1 u in S_n, for x = s^-1 t.  ``index`` must
+    reach n + 1; by default one of that radius is built.
     """
-    if distance(s, t) != n + 1:
-        raise ValueError(
-            f"sigma_set needs d(s, t) = n + 1, got d = {distance(s, t)} with n = {n}"
-        )
-    return sorted((mul(s, w) for w in _near_both(ctx, mul(inverse(s), t), n)), key=ctx.sort_key)
+    x = mul(inverse(s), t)
+    if n < 0 or len(x) != n + 1:
+        raise ValueError(f"sigma_set needs d(s, t) = n + 1, got d = {len(x)} with n = {n}")
+    if index is None:
+        index = WordIndex(ctx, n + 1)
+    inner = index.ends[n]  # the ids of S_n are those below
+    near = index.diffs([index.ids[x]], np.arange(inner))[0] < inner
+    out = [index.words[i] for i in np.flatnonzero(near).tolist()]
+    if s == E:
+        return out
+    return sorted((mul(s, u) for u in out), key=ctx.sort_key)
 
 
 def is_chordal(

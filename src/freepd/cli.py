@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import jsonio
@@ -74,8 +75,8 @@ def _tol(args, default: float) -> float:
     """The ``--tol`` value as given, or ``default`` when the option is absent."""
     if args.tol is None:
         return default
-    if not args.tol > 0:
-        raise CliInputError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise CliInputError(f"--tol must be positive and finite, got {args.tol}")
     return args.tol
 
 

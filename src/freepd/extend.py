@@ -30,12 +30,13 @@ from .completion import (
     extract_gamma,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .pdfun import BallDomain, PdFunction, gram, gram_blocks
+from .pdfun import BallDomain, PdFunction, WordValues, gram
 from .words import (
     E,
     ClassCursor,
     GroupContext,
     Word,
+    WordIndex,
     check_ball_cap,
     classes_of_length,
 )
@@ -134,7 +135,7 @@ def params_to_json(
 def params_from_json(doc: dict) -> tuple[GroupContext, int, int, int, dict[ClassCursor, np.ndarray]]:
     ctx, k = jsonio.read_header(doc, "params.v1")
     params: dict[ClassCursor, np.ndarray] = {}
-    for item in jsonio.require(doc, "params"):
+    for item in jsonio.require(doc, "params", list):
         rep = jsonio.word_from_json(jsonio.require(item, "class"), ctx.m)
         params[ClassCursor(rep, ctx)] = jsonio.matrix_from_json(jsonio.require(item, "gamma"))
     return ctx, k, jsonio.require(doc, "from_n"), jsonio.require(doc, "to_n"), params
@@ -144,9 +145,9 @@ def trace_from_json(doc: dict) -> ExtensionTrace:
     ctx, k = jsonio.read_header(doc, "trace.v1")
     m = ctx.m
     steps = []
-    for item in jsonio.require(doc, "steps"):
+    for item in jsonio.require(doc, "steps", list):
         rep = jsonio.word_from_json(jsonio.require(item, "class"), m)
-        clique = tuple(jsonio.word_from_json(w, m) for w in jsonio.require(item, "clique"))
+        clique = tuple(jsonio.word_from_json(w, m) for w in jsonio.require(item, "clique", list))
         steps.append(
             ExtensionStep(
                 cursor=ClassCursor(rep, ctx),
@@ -159,16 +160,15 @@ def trace_from_json(doc: dict) -> ExtensionTrace:
     return ExtensionTrace(ctx=ctx, k=k, start_n=jsonio.require(doc, "start_n"), steps=tuple(steps))
 
 
-def _window(
-    store: dict[Word, np.ndarray], ctx: GroupContext, k: int, cursor: ClassCursor
-) -> tuple[PartialBlockMatrix, list[Word]]:
+def _window(values: WordValues, cursor: ClassCursor) -> tuple[PartialBlockMatrix, list[Word]]:
     """Partial Gram matrix over the clique of cursor, with (e, s_nu) hidden.
 
-    The store must hold some value at s_nu; the hidden pair is never read
+    ``values`` must know some value at s_nu; the hidden pair is never read
     by :func:`analyze`, :func:`complete` or :func:`extract_gamma`.
     """
-    clique = clique_C(cursor)
-    A = gram_blocks(store, ctx, k, clique)
+    clique = clique_C(cursor, values.index)
+    A = values.gram_blocks([values.index.ids[w] for w in clique], clique)
+    k = values.blocks.shape[1]
     return PartialBlockMatrix(A, (clique.index(E), clique.index(cursor.rep)), k), clique
 
 
@@ -193,12 +193,13 @@ def extend_to_ball(
     ctx, k = phi.ctx, phi.k
     check_ball_cap(ctx.m, N)  # refuse before any work
     store = {rep: phi.value(rep) for rep in phi.class_reps()}
+    values = WordValues(WordIndex(ctx, N), k, store)
     hidden = np.zeros((k, k), dtype=complex)
     steps: list[ExtensionStep] = []
     for length in range(n + 1, N + 1):
         for cursor in classes_of_length(ctx, length):
-            store[cursor.rep] = hidden  # a placeholder: the window never reads it
-            P, clique = _window(store, ctx, k, cursor)
+            values.put(cursor.rep, hidden)  # a placeholder: the window never reads it
+            P, clique = _window(values, cursor)
             defects = analyze(P, tol)
             try:
                 gamma = _coerce_gamma(oracle(cursor, defects), defects.gamma_shape)
@@ -208,6 +209,7 @@ def extend_to_ball(
             i_e, i_s = P.missing
             filled = full[i_e * k : (i_e + 1) * k, i_s * k : (i_s + 1) * k]
             store[cursor.rep] = filled
+            values.put(cursor.rep, filled)
             steps.append(ExtensionStep(cursor, tuple(clique), defects.central, gamma, filled))
     ext = PdFunction(ctx, k, BallDomain(N), store)
     return ext, ExtensionTrace(ctx=ctx, k=k, start_n=n, steps=tuple(steps))
@@ -226,12 +228,12 @@ def extract_params(
     N = phi.ball_radius()
     if not 0 <= n <= N:
         raise ValueError(f"base radius must lie in 0..{N}, got {n}")
-    store = {rep: phi.value(rep) for rep in phi.class_reps()}
+    values = phi.word_values()
     out: dict[ClassCursor, np.ndarray] = {}
     for length in range(n + 1, N + 1):
         for cursor in classes_of_length(phi.ctx, length):
-            P, _ = _window(store, phi.ctx, phi.k, cursor)
-            out[cursor] = extract_gamma(P, store[cursor.rep], tol)
+            P, _ = _window(values, cursor)
+            out[cursor] = extract_gamma(P, phi.value(cursor.rep), tol)
     return out
 
 
@@ -264,16 +266,19 @@ def check_max_orthogonal(
     translation invariance the representatives cover all pairs at
     distance n + 1.
     """
+    if n < 0:
+        raise ValueError(f"level must be nonnegative, got {n}")
     N = phi.ball_radius()
     if N < n + 1:
         raise ValueError(f"needs values on S_{n + 1}, but the domain is S_{N}")
+    index = phi.word_values().index
     worst = 0.0
     worst_class: ClassCursor | None = None
     for cursor in classes_of_length(phi.ctx, n + 1):
         t = cursor.rep
-        # e and t lie n + 1 apart, so neither is in Sigma
-        S = sorted(sigma_set(phi.ctx, E, t, n) + [E, t], key=phi.ctx.sort_key)
-        P = PartialBlockMatrix(gram(phi, S).blocks, (S.index(E), S.index(t)), phi.k)
+        # Sigma lies in S_n, so in lexicographic order e comes first and t last
+        S = [E, *sigma_set(phi.ctx, E, t, n, index), t]
+        P = PartialBlockMatrix(gram(phi, S).blocks, (0, len(S) - 1), phi.k)
         violation = float(np.linalg.norm(phi.value(t) - analyze(P, lin_tol).central, 2))
         if violation > worst:
             worst = violation

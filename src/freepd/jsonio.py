@@ -80,10 +80,16 @@ def expect_schema(doc: dict, name: str):
         raise SchemaError(f"expected schema {name!r}, got {doc.get('schema')!r}")
 
 
-def require(doc: dict, key: str):
+def require(doc: dict, key: str, kind: type | None = None):
+    """``doc[key]``; the document must be an object, and the value of ``kind`` if one is named."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected an object holding {key!r}, got {doc!r}")
     if key not in doc:
         raise SchemaError(f"missing required key {key!r}")
-    return doc[key]
+    value = doc[key]
+    if kind is not None and not isinstance(value, kind):
+        raise SchemaError(f"{key!r} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 #: Header of each schema: its block-size key, and whether it names a letter order.

@@ -29,8 +29,8 @@ class Tolerance:
     rank_eps: float = 1e-10
 
     def __post_init__(self):
-        if not (self.psd_eps > 0 and self.rank_eps > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.psd_eps < np.inf and 0 < self.rank_eps < np.inf):
+            raise ValueError("tolerances must be strictly positive and finite")
 
 
 DEFAULT_TOL = Tolerance()

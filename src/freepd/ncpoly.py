@@ -138,7 +138,7 @@ class NcPolynomial:
 def ncpolynomial_from_json(doc: dict) -> NcPolynomial:
     ctx, c = jsonio.read_header(doc, "ncpoly.v1")
     terms: dict[Word, np.ndarray] = {}
-    for entry in jsonio.require(doc, "terms"):
+    for entry in jsonio.require(doc, "terms", list):
         word = jsonio.word_from_json(jsonio.require(entry, "word"), ctx.m)
         block = jsonio.matrix_from_json(jsonio.require(entry, "value"), (c, c))
         terms[word] = terms.get(word, 0) + block
@@ -456,10 +456,10 @@ def certificate_to_json(cert: SosCertificate) -> dict:
 def certificate_from_json(doc: dict) -> SosCertificate:
     ctx, c = jsonio.read_header(doc, "cert.v1")
     m = ctx.m
-    index = [jsonio.word_from_json(w, m) for w in jsonio.require(doc, "index")]
+    index = [jsonio.word_from_json(w, m) for w in jsonio.require(doc, "index", list)]
     gram = jsonio.matrix_from_json(jsonio.require(doc, "gram"))
     factors = {}
-    for entry in jsonio.require(doc, "factors"):
+    for entry in jsonio.require(doc, "factors", list):
         word = jsonio.word_from_json(jsonio.require(entry, "word"), m)
         factors[word] = jsonio.matrix_from_json(jsonio.require(entry, "value"))
     return SosCertificate(

@@ -36,6 +36,7 @@ from .words import (
     ClassCursor,
     GroupContext,
     Word,
+    WordIndex,
     ball,
     class_rep,
     classes_up_to,
@@ -102,7 +103,7 @@ class PdFunction:
     Phi(e) is rejected.  Instances are immutable snapshots.
     """
 
-    __slots__ = ("ctx", "k", "domain", "_values")
+    __slots__ = ("ctx", "k", "domain", "_values", "_table")
 
     def __init__(
         self,
@@ -154,6 +155,7 @@ class PdFunction:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_values", store)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PdFunction is immutable")
@@ -161,12 +163,21 @@ class PdFunction:
     def value(self, word: Word) -> np.ndarray:
         """Phi at a word; the adjoint class member is synthesized."""
         w = reduce_word(word)
+        rep = class_rep(w, self.ctx)
         try:
-            return _class_value(self._values, self.ctx, w)
+            block = self._values[rep]
         except KeyError:
             raise MissingValueError(
                 f"no value at {w}: outside domain {self.domain.describe()}"
             ) from None
+        return block if w == rep else block.conj().T
+
+    def word_values(self) -> "WordValues":
+        """The values on a word index of the domain's radius, built on first use and kept."""
+        if self._table is None:
+            index = WordIndex(self.ctx, max(map(len, self._values)))
+            object.__setattr__(self, "_table", WordValues(index, self.k, self._values))
+        return self._table
 
     def class_reps(self) -> list[Word]:
         return sorted(self._values, key=self.ctx.sort_key)
@@ -245,7 +256,7 @@ def pdfunction_from_json(doc: dict) -> PdFunction:
     if not (isinstance(dom, dict) and dom.get("type") == "ball" and isinstance(dom.get("n"), int)):
         raise jsonio.SchemaError(f"unsupported domain {dom!r}")
     values: dict[Word, np.ndarray] = {}
-    for entry in jsonio.require(doc, "entries"):
+    for entry in jsonio.require(doc, "entries", list):
         word = jsonio.word_from_json(jsonio.require(entry, "word"), m)
         values[word] = jsonio.matrix_from_json(jsonio.require(entry, "value"), (k, k))
     try:
@@ -267,44 +278,70 @@ class GramMatrix:
         return self.blocks[i * k : (i + 1) * k, j * k : (j + 1) * k]
 
 
-def _class_value(store: Mapping[Word, np.ndarray], ctx: GroupContext, w: Word) -> np.ndarray:
-    """The value at a reduced word, read from a store keyed by class representative.
+class WordValues:
+    """Blocks at the words of a :class:`WordIndex`, with a mask of the known ones.
 
-    The adjoint class member is synthesized; a missing class raises KeyError.
+    ``store`` gives one value per class, at its representative.  Both members
+    of a class are written together, the adjoint formed once at the inverse,
+    so a Gram window is one gather from ``blocks``.  The sentinel id is never
+    known.
     """
-    rep = class_rep(w, ctx)
-    block = store[rep]
-    return block if w == rep else block.conj().T
+
+    def __init__(self, index: WordIndex, k: int, store: Mapping[Word, np.ndarray]):
+        self.index = index
+        self.blocks = np.zeros((index.size + 1, k, k), dtype=complex)
+        self.known = np.zeros(index.size + 1, dtype=bool)
+        ids = np.array([index.ids[w] for w in store], dtype=np.intp)
+        given = np.array(list(store.values()), dtype=complex).reshape(-1, k, k)
+        # the adjoints first, so that e, its own inverse, keeps its value as given
+        self.blocks[index.inv[ids]] = given.conj().transpose(0, 2, 1)
+        self.blocks[ids] = given
+        self.known[ids] = self.known[index.inv[ids]] = True
+
+    def put(self, rep: Word, block: np.ndarray):
+        """Set the value at a class representative, and its adjoint at the inverse."""
+        i = self.index.ids[rep]
+        j = self.index.inv[i]
+        self.blocks[j] = block.conj().T
+        self.blocks[i] = block
+        self.known[i] = self.known[j] = True
+
+    def gram_blocks(self, ids: Sequence[int], words: Sequence[Word]) -> np.ndarray:
+        """The blocked matrix [Phi(s^-1 t)] over the words with these ids.
+
+        A value that is not known raises :class:`MissingValueError` naming the
+        first offending pair, row by row.
+        """
+        table = self.index.diffs(ids, ids)
+        missing = ~self.known[table]
+        if missing.any():
+            raise _missing_pair(words, *np.argwhere(missing)[0])
+        N, k = len(ids), self.blocks.shape[1]
+        return self.blocks[table].transpose(0, 2, 1, 3).reshape(N * k, N * k)
 
 
-def gram_blocks(
-    store: Mapping[Word, np.ndarray], ctx: GroupContext, k: int, words: Sequence[Word]
-) -> np.ndarray:
-    """The blocked matrix [Phi(s^-1 t)] over reduced ``words``, from a class store.
-
-    The one Gram assembly, for :func:`gram` and the engine's windows: one value
-    per distinct word of :func:`pair_table`, then one gather.  A missing class
-    raises :class:`MissingValueError` naming the first offending pair.
-    """
-    table, diffs = pair_table(words)
-    values = np.empty((len(diffs), k, k), dtype=complex)
-    for d, x in enumerate(diffs):
-        try:
-            values[d] = _class_value(store, ctx, x)
-        except KeyError:
-            i, j = np.argwhere(table == d)[0]  # diffs are numbered by first appearance
-            raise MissingValueError(
-                f"gram entry ({words[i]}, {words[j]}) needs a value at {x}, outside the domain"
-            ) from None
-    N = len(words)
-    return values[table].transpose(0, 2, 1, 3).reshape(N * k, N * k)
+def _missing_pair(words: Sequence[Word], i: int, j: int) -> MissingValueError:
+    x = mul(inverse(words[i]), words[j])
+    return MissingValueError(
+        f"gram entry ({words[i]}, {words[j]}) needs a value at {x}, outside the domain"
+    )
 
 
 def gram(phi: PdFunction, S: Sequence[Word]) -> GramMatrix:
-    """The Gram matrix of phi over S; raises naming the offending pair."""
+    """The Gram matrix of phi over S; raises naming the offending pair.
+
+    S is first translated by S[0]^-1, which leaves every s^-1 t unchanged and
+    brings the set into the ball of phi's table when its differences lie there.
+    """
     words = [reduce_word(s) for s in S]
-    A = gram_blocks(phi._values, phi.ctx, phi.k, words)
-    return GramMatrix(index=tuple(words), k=phi.k, blocks=A)
+    values = phi.word_values()
+    index = values.index
+    moved = [mul(inverse(words[0]), w) for w in words] if words and words[0] != E else words
+    ids = [index.ids.get(w, index.size) for w in moved]
+    row = values.known[ids]  # row 0 of the window: Phi(S[0]^-1 s) is the value at the moved s
+    if not row.all():
+        raise _missing_pair(words, 0, int(np.argmin(row)))
+    return GramMatrix(index=tuple(words), k=phi.k, blocks=values.gram_blocks(ids, words))
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,8 @@ def as_pdfunction(g: GeneratorAssignment, n: int) -> PdFunction:
 
 def haagerup(ctx: GroupContext, k: int, t: float, n: int) -> PdFunction:
     """The radial function Phi(s) = exp(-t |s|) I_k on S_n, for t > 0."""
-    if not t > 0:
-        raise ValueError(f"decay rate must be positive, got t = {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"decay rate must be positive and finite, got t = {t}")
     eye = np.eye(k, dtype=complex)
     values = {
         rep: math.exp(-t * len(rep)) * eye for rep in BallDomain(n).class_reps(ctx)

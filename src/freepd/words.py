@@ -56,6 +56,7 @@ class GroupContext:
             raise ValueError(f"need at least one generator, got m={self.m}")
         order = self.letter_order
         if order is None:
+            check_ball_cap(self.m, 1)  # the default order lists all 2m letters
             order = default_letter_order(self.m)
         order = tuple(int(x) for x in order)
         # the length test comes first, so a huge m builds no letter set
@@ -176,12 +177,20 @@ def ball_size(m: int, n: int) -> int:
 
 
 def check_ball_cap(m: int, n: int, cap: int = DEFAULT_BALL_CAP) -> None:
-    """Refuse a ball of radius n in F_m with more than ``cap`` words."""
-    total = ball_size(m, n)
-    if total > cap:
-        raise BallSizeError(
-            f"ball of radius {n} in F_{m} has {total} words, above the cap of {cap}"
-        )
+    """Refuse a ball of radius n in F_m with more than ``cap`` words.
+
+    The spheres are counted only until they pass the cap, so a huge radius
+    is refused at once; the message gives the exact count unless the radius
+    lies far beyond that point.
+    """
+    total = 0
+    for j in range(n + 1):
+        total += sphere_size(m, j)
+        if total > cap:
+            count = ball_size(m, n) if n - j <= 64 else f"more than {total}"
+            raise BallSizeError(
+                f"ball of radius {n} in F_{m} has {count} words, above the cap of {cap}"
+            )
 
 
 def sphere(ctx: GroupContext, n: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
@@ -230,6 +239,74 @@ def pair_table(index: Sequence[Word]) -> tuple[np.ndarray, list[Word]]:
     ids: dict[Word, int] = {}
     flat = [ids.setdefault(mul(s_inv, t), len(ids)) for s_inv in map(inverse, index) for t in index]
     return np.array(flat, dtype=np.intp).reshape(len(index), len(index)), list(ids)
+
+
+class WordIndex:
+    """The words of S_R numbered in ``ball`` order, with the group law as integer tables.
+
+    ``words[i]`` is the word with id i and ``ids`` maps back; ``size`` = |S_R|
+    is also the sentinel id meaning "outside S_R".  Arrays have one entry per
+    id plus one for the sentinel:
+
+    - ``inv``: the id of each word's inverse;
+    - ``times``: (size + 1) x (2m + 1) right multiplication, column c for the
+      letter ``letter_order[c]`` and the last column for e; a product that
+      leaves S_R, and every product of the sentinel, is the sentinel;
+    - ``spelled``: each word's letters as columns, padded with the e column;
+    - ``cls``, ``adj``: the id of the class representative, and whether the
+      word is the other member.  Ids follow the lexicographic order, so the
+      representative is the member with the smaller id.
+
+    ``ends[r]`` is |S_r|: the ids of S_r are those below it.
+    """
+
+    def __init__(self, ctx: GroupContext, R: int):
+        self.words = ball(ctx, R)
+        self.ids = {w: i for i, w in enumerate(self.words)}
+        self.size = n = len(self.words)
+        unit = 2 * ctx.m
+        col = {x: c for c, x in enumerate(ctx.letter_order)}
+        flip = np.array([col[-x] for x in ctx.letter_order] + [unit])  # the column of x^-1
+        self.times = np.full((n + 1, unit + 1), n, dtype=np.intp)
+        self.times[:n, unit] = np.arange(n)
+        self.spelled = np.full((n, R), unit, dtype=np.intp)
+        # S_R in ball order: sphere L + 1 lists, for each w of sphere L in turn,
+        # the w x for the letters x != last(w)^-1 in letter order
+        parents, last, start = np.zeros(1, dtype=np.intp), np.array([unit]), 1
+        self.ends = [start]
+        for L in range(R):
+            slots = np.arange(unit - (L > 0))
+            cols = slots + (slots >= flip[last][:, None])  # skips the column of last(w)^-1
+            children = start + np.arange(cols.size).reshape(cols.shape)
+            self.times[parents[:, None], cols] = children
+            self.times[children, flip[cols]] = parents[:, None]
+            self.spelled[children] = self.spelled[parents][:, None]
+            self.spelled[children, L] = cols
+            parents, last, start = children.ravel(), cols.ravel(), start + cols.size
+            self.ends.append(start)
+        inv = np.zeros(n, dtype=np.intp)
+        for c in self.spelled.T[::-1]:  # e times the letters of w^-1
+            inv = self.times[inv, flip[c]]
+        self.inv = np.append(inv, n)
+        ids = np.arange(n + 1)
+        self.cls = np.minimum(ids, self.inv)
+        self.adj = self.cls != ids
+
+    def diffs(self, left, right) -> np.ndarray:
+        """The ids of left_i^-1 right_j, for ids in S_R; the sentinel where that lies outside S_R.
+
+        Multiplies left_i^-1 by the letters of right_j one at a time.  In a tree
+        every partial product is within max(|left_i|, |left_i^-1 right_j|) of e,
+        so a product ends outside S_R exactly when it leaves it on the way.
+        """
+        right = np.asarray(right, dtype=np.intp)
+        out = self.inv[left][:, None]
+        longest = len(self.words[right.max()]) if right.size else 0  # ids follow length
+        if longest == 0:
+            return np.repeat(out, right.size, axis=1)
+        for c in self.spelled[right, :longest].T:
+            out = self.times[out, c]
+        return out
 
 
 @dataclass(frozen=True)
@@ -295,6 +372,7 @@ def classes_of_length(ctx: GroupContext, n: int) -> Iterator[ClassCursor]:
 
 
 def classes_up_to(ctx: GroupContext, n: int) -> Iterator[ClassCursor]:
-    """All classes of length at most n, in increasing order."""
+    """All classes of length at most n, in increasing order; S_n must respect the ball cap."""
+    check_ball_cap(ctx.m, n)
     for j in range(n + 1):
         yield from classes_of_length(ctx, j)

@@ -1,13 +1,20 @@
+import contextlib
+import functools
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freepd import jsonio
 from freepd.cli import main
-from freepd.extend import trace_from_json
+from freepd.extend import extend_to_ball, extract_params, params_to_json, trace_from_json
 from freepd.ncpoly import NcPolynomial, certificate_from_json
 from freepd.pdfun import pdfunction_from_json
+from freepd.quasimult import haagerup
 from freepd.words import E, GroupContext
 
 
@@ -22,11 +29,14 @@ def run(capfd, *argv):
     return code, out, err
 
 
-def write_shifted_square(path):
-    p = NcPolynomial(
+def shifted_square() -> NcPolynomial:
+    return NcPolynomial(
         GroupContext(1), 1, {E: np.array([[2.0]]), (1,): np.array([[1.0]]), (-1,): np.array([[1.0]])}
     )
-    jsonio.dump_path(path, p.to_json_dict())
+
+
+def write_shifted_square(path):
+    jsonio.dump_path(path, shifted_square().to_json_dict())
 
 
 def test_haagerup_verify_roundtrip(tmp_path, capfd):
@@ -42,6 +52,10 @@ def test_haagerup_verify_roundtrip(tmp_path, capfd):
     code, _, err = run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "-1", "-o", str(f))
     assert_bad_input(code, err)
     assert "radius" in json.loads(err)["detail"]
+    for t in ("inf", "nan", "0"):
+        code, _, err = run(capfd, "haagerup", "--m", "2", "--t", t, "--n", "1", "-o", str(f))
+        assert_bad_input(code, err)
+        assert "decay rate" in json.loads(err)["detail"]
 
 
 def test_verify_rejects_non_positive(tmp_path, capfd):
@@ -95,6 +109,22 @@ def test_malformed_input_exits_2(tmp_path, capfd):
     assert json.loads(err)["detail"] == (
         "ball of radius 12 in F_2 has 1062881 words, above the cap of 200000"
     )
+    code, _, err = run(capfd, "check-ortho", str(h), "--level", "-1")
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == "level must be nonnegative, got -1"
+    # a huge radius or generator count is refused at once, before any enumeration
+    huge = str(10**12)
+    poly = tmp_path / "p.json"
+    jsonio.dump_path(poly, {"schema": "ncpoly.v1", "m": 10**12, "c": 1, "terms": []})
+    for argv in (
+        ["extend", str(h), "--to", huge, "-o", str(tmp_path / "x.json")],
+        ["haagerup", "--m", "1", "--t", "0.7", "--n", huge, "-o", str(tmp_path / "x.json")],
+        ["haagerup", "--m", huge, "--t", "0.7", "--n", "1", "-o", str(tmp_path / "x.json")],
+        ["sample", str(poly)],
+    ):
+        code, _, err = run(capfd, *argv)
+        assert_bad_input(code, err)
+        assert "above the cap" in json.loads(err)["detail"]
     with pytest.raises(SystemExit) as exc:
         main(["extend", "--help"])
     assert exc.value.code == 0
@@ -141,11 +171,11 @@ def test_check_ortho_cli(tmp_path, capfd):
     code, out, _ = run(capfd, "check-ortho", str(ext), "--level", "1")
     assert code == 0
     assert json.loads(out)["ok"] is True
-    # --tol is taken as given, and must be positive
+    # --tol is taken as given, and must be positive and finite
     code, out, _ = run(capfd, "check-ortho", str(ext), "--level", "1", "--tol", "1e-30")
     assert code == 1
     assert json.loads(out)["ok"] is False
-    for tol in ("0", "-1"):
+    for tol in ("0", "-1", "inf"):
         for cmd in (["check-ortho", str(ext), "--level", "1"], ["verify", str(ext)]):
             code, _, err = run(capfd, *cmd, "--tol", tol)
             assert_bad_input(code, err)
@@ -271,3 +301,134 @@ def test_bad_header_is_bad_input(tmp_path, capfd):
     jsonio.dump_path(h, pdfun)
     code, _, err = run(capfd, "verify", str(h))
     assert_bad_input(code, err)
+
+
+#: Flag values that reach the program as text, invalid or at a boundary.
+ODD_VALUES = ("nan", "inf", "-inf", "-1", "0", "-1e-8", "1e-8", "x")
+
+#: The same for a radius or a generator count, which may also be huge.
+ODD_SIZES = (*ODD_VALUES, "1000000000000")
+
+#: What a mutated JSON document may hold in place of one of its values.
+JUNK = (None, True, "x", -1, 0, 1, 2, 10**12, 0.5, float("nan"), [], {}, [0], [[[1.0, 0.0]]], [1, -1, 2, -2])
+
+
+@functools.cache
+def fuzz_documents() -> dict[str, str]:
+    """Valid small inputs, as text: Haagerup on S_1 of F_2, its central extension to S_2,
+    the parameters of that extension, and a positive ncpoly.v1."""
+    phi = haagerup(GroupContext(2), 1, 0.7, 1)
+    ext, _ = extend_to_ball(phi, 2)
+    params = params_to_json(phi.ctx, 1, 1, 2, extract_params(ext, 1))
+    docs = {
+        "base": phi.to_json_dict(),
+        "ext": ext.to_json_dict(),
+        "params": params,
+        "ncpoly": shifted_square().to_json_dict(),
+    }
+    return {name: jsonio.dumps(doc) for name, doc in docs.items()}
+
+
+def mutated(data, text: str) -> str:
+    """The document as it is (half of the time), truncated, or with one value replaced or deleted."""
+    how = data.draw(st.sampled_from(("keep", "keep", "keep", "truncate", "replace", "delete")))
+    if how == "keep":
+        return text
+    if how == "truncate":
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    slots = []  # (container, key) for every value inside the document
+
+    def walk(node):
+        keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            slots.append((node, key))
+            walk(node[key])
+
+    walk(doc)
+    node, key = data.draw(st.sampled_from(slots))
+    if how == "delete":
+        del node[key]
+    else:
+        node[key] = data.draw(st.sampled_from(JUNK))
+    return json.dumps(doc)
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
+    # every command, on mutated inputs and odd flag values: exit 0, 1 or 2, never a
+    # traceback or a warning; a failure leaves exactly one JSON line on stderr
+    tmp = tmp_path_factory.getbasetemp() / "fuzz"
+    tmp.mkdir(exist_ok=True)
+    out = str(tmp / "out.json")
+
+    def source(*names):
+        """A path to one of the named documents, mutated, or to no file."""
+        name = data.draw(st.sampled_from(names * 3 + ("missing", "directory")))
+        if name == "directory":
+            return str(tmp)
+        path = tmp / f"{name}.json"
+        if name != "missing":
+            path.write_text(mutated(data, fuzz_documents()[name]))
+        return str(path)
+
+    def flag(name, *good, odd=ODD_VALUES):
+        """The flag with a valid value, with an odd one (one time in eight), or absent (likewise)."""
+        pick = data.draw(st.integers(0, 7))
+        if pick == 7:
+            return []
+        return [name, data.draw(st.sampled_from(odd if pick == 6 else good))]
+
+    pdfun = ("base", "ext")
+    command = data.draw(
+        st.sampled_from(("verify", "extend", "params", "check-ortho", "haagerup", "radialize", "factor", "sample"))
+    )
+    if command == "verify":
+        argv = ["verify", source(*pdfun), *flag("--tol", "1e-10", "0.5")]
+    elif command == "extend":
+        mode = data.draw(st.sampled_from(([], ["--central"], ["--random-oracle"], ["--params", source("params")])))
+        argv = ["extend", source(*pdfun), *mode, *flag("--to", "2", "3", odd=ODD_SIZES), *flag("--seed", "0", "5")]
+        argv += [*flag("--tol", "1e-10"), "-o", out]
+        if data.draw(st.booleans()):
+            argv += ["--trace", str(tmp / "trace.json")]
+    elif command == "params":
+        argv = ["params", source(*pdfun), *flag("--from", "0", "1", "2", odd=ODD_SIZES), *flag("--tol", "1e-10"), "-o", out]
+    elif command == "check-ortho":
+        argv = ["check-ortho", source(*pdfun), *flag("--level", "0", "1", odd=ODD_SIZES), *flag("--tol", "1e-8")]
+    elif command == "haagerup":
+        argv = ["haagerup", *flag("--m", "1", "2", odd=ODD_SIZES), *flag("--k", "1", "2"), *flag("--t", "0.5", "3")]
+        argv += [*flag("--n", "0", "1", "2", odd=ODD_SIZES), "-o", out]
+        if data.draw(st.booleans()):
+            argv += ["--order", data.draw(st.sampled_from(("2,-1,-2,1", "1,-1", "1,1,-2,2", "x", "")))]
+    elif command == "radialize":
+        argv = ["radialize", source(*pdfun), "-o", out]
+    elif command == "factor":
+        # --max-iter is always given and small, so an infeasible input stops early
+        max_iter = data.draw(st.sampled_from(("-1", "0", "1", "20", "x")))
+        argv = ["factor", source("ncpoly"), *flag("--tol", "1e-6"), "--max-iter", max_iter, "-o", out]
+    else:
+        argv = ["sample", source("ncpoly"), *flag("--trials", "5"), *flag("--dmax", "1", "2")]
+        argv += flag("--seed", "0", "3")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        contextlib.redirect_stdout(stdout),
+        contextlib.redirect_stderr(stderr),
+    ):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    for line in stdout.getvalue().splitlines():
+        json.loads(line, parse_constant=_no_constants)
+    if code:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert "error" in json.loads(lines[0], parse_constant=_no_constants)
+    else:
+        assert stderr.getvalue() == ""

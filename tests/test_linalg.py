@@ -127,4 +127,9 @@ def test_tolerance_validation():
         Tolerance(psd_eps=0.0)
     with pytest.raises(ValueError):
         Tolerance(rank_eps=-1e-3)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            Tolerance(psd_eps=bad)
+        with pytest.raises(ValueError):
+            Tolerance(rank_eps=bad)
     assert DEFAULT_TOL.psd_eps == 1e-10

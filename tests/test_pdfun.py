@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freepd import jsonio
 from freepd.linalg import NotPsdError
@@ -19,7 +21,16 @@ from freepd.pdfun import (
 )
 from freepd.quasimult import haagerup
 from freepd.sampling import random_pd_function
-from freepd.words import E, GroupContext, ball, inverse, mul
+from freepd.words import (
+    E,
+    GroupContext,
+    ball,
+    classes_of_length,
+    default_letter_order,
+    inverse,
+    mul,
+    reduce_word,
+)
 
 CTX2 = GroupContext(2)
 CTX1 = GroupContext(1)
@@ -96,6 +107,44 @@ def test_gram_permutation_invariance():
         P[a, b] = 1.0
     Pk = np.kron(P, np.eye(k))
     assert np.allclose(Pk @ G @ Pk.T, Gp)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_gram_equals_pairwise_values(data):
+    # reference: the block matrix of phi.value(s^-1 t), or the first pair, row by row,
+    # whose difference lies outside the domain
+    m = data.draw(st.sampled_from((1, 2, 3)))
+    ctx = GroupContext(m, data.draw(st.permutations(default_letter_order(m))))
+    k, R = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = {
+        rep: np.eye(k) if rep == E else rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        for rep in BallDomain(R).class_reps(ctx)
+    }
+    phi = PdFunction(ctx, k, BallDomain(R), values)
+    if data.draw(st.booleans()):  # an order-ideal domain, one class past S_R
+        phi = phi.with_class_value(next(classes_of_length(ctx, R + 1)), np.eye(k) / 2)
+    letters = st.lists(st.sampled_from(ctx.letter_order), max_size=R + 2).map(reduce_word)
+    shift = data.draw(letters)  # translates reach past S_R
+    S = [mul(shift, w) for w in data.draw(st.lists(letters, max_size=6))]
+    expected = np.zeros((len(S) * k, len(S) * k), dtype=complex)
+    first_missing = None
+    for i, s in enumerate(S):
+        for j, t in enumerate(S):
+            x = mul(inverse(s), t)
+            if phi.domain.contains(x, ctx):
+                expected[i * k : (i + 1) * k, j * k : (j + 1) * k] = phi.value(x)
+            elif first_missing is None:
+                first_missing = f"gram entry ({s}, {t}) needs a value at {x}, outside the domain"
+    if first_missing is None:
+        G = gram(phi, S)
+        assert G.index == tuple(S)
+        assert np.array_equal(G.blocks, expected)
+    else:
+        with pytest.raises(MissingValueError) as exc:
+            gram(phi, S)
+        assert exc.value.args[0] == first_missing
 
 
 def test_verify_examples():

@@ -9,6 +9,7 @@ from freepd.words import (
     BallSizeError,
     ClassCursor,
     GroupContext,
+    WordIndex,
     ball,
     ball_size,
     class_rep,
@@ -134,6 +135,34 @@ def test_pair_table_maps_every_pair_to_its_difference(data):
     # ids count up in order of first appearance, row by row
     seen = list(dict.fromkeys(table.reshape(-1).tolist()))
     assert seen == list(range(len(diffs)))
+
+
+@property_test
+@given(st.data())
+def test_word_index_tables_follow_the_group_law(data):
+    ctx = data.draw(contexts)
+    R = data.draw(st.integers(0, 4))
+    index = WordIndex(ctx, R)
+    assert index.words == ball(ctx, R)
+    assert all(index.ids[w] == i for i, w in enumerate(index.words))
+    ids = st.integers(0, index.size - 1)
+    left, right = data.draw(st.lists(ids, max_size=6)), data.draw(st.lists(ids, max_size=6))
+    got = index.diffs(left, right)
+    assert got.shape == (len(left), len(right))
+    for a, i in enumerate(left):
+        for b, j in enumerate(right):
+            x = mul(inverse(index.words[i]), index.words[j])
+            assert got[a, b] == (index.ids[x] if len(x) <= R else index.size)
+    for i in left + right:
+        w = index.words[i]
+        assert index.words[index.inv[i]] == inverse(w)
+        assert index.words[index.cls[i]] == class_rep(w, ctx)
+        assert index.adj[i] == (w != class_rep(w, ctx))
+        for c, x in enumerate(ctx.letter_order):
+            wx = mul(w, (x,))
+            assert index.times[i, c] == (index.ids[wx] if len(wx) <= R else index.size)
+        assert index.times[i, -1] == i
+    assert (index.times[index.size] == index.size).all()
 
 
 def test_letter_order_validation():
