@@ -120,5 +120,5 @@ def psd_project(A) -> np.ndarray:
 def _psd_clip(M: np.ndarray) -> np.ndarray:
     """:func:`psd_project` of an exactly Hermitian array, unchecked."""
     w, V = np.linalg.eigh(M)
-    P = (V * np.clip(w, 0.0, None)) @ V.conj().T
+    P = (V * np.maximum(w, 0.0)) @ V.conj().T
     return (P + P.conj().T) / 2.0

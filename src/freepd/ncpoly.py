@@ -146,31 +146,44 @@ def ncpolynomial_from_json(doc: dict) -> NcPolynomial:
 
 
 def eval_word(blocks: Sequence[np.ndarray], word: Word) -> np.ndarray:
-    """The letterwise product: blocks[i - 1] for the letter +i, its adjoint for -i."""
-    d = blocks[0].shape[0]
+    """The letterwise product: blocks[i - 1] for the letter +i, its adjoint for -i.
+
+    Blocks of shape (..., d, d) are stacks, multiplied slice by slice.
+    """
+    d = blocks[0].shape[-1]
     out = np.eye(d, dtype=complex)
     for x in word:
         B = blocks[abs(x) - 1]
-        out = out @ (B if x > 0 else B.conj().T)
+        out = out @ (B if x > 0 else B.conj().swapaxes(-1, -2))
     return out
 
 
 def eval_unitaries(p: NcPolynomial, unitaries: Sequence[np.ndarray]) -> np.ndarray:
     """p(U) = sum_s A_s (x) U(s), a (c d) x (c d) matrix.
 
-    Each of the m substituted matrices must be unitary within 1e-10.
+    Each of the m substituted matrices must be unitary within 1e-10.  Stacks
+    of substitutions, each of shape (..., d, d), give the stack of the p(U).
     """
     if len(unitaries) != p.ctx.m:
         raise ValueError(f"need {p.ctx.m} unitaries, got {len(unitaries)}")
-    Us = [as_matrix(U) for U in unitaries]
-    d = Us[0].shape[0]
+    Us = [np.asarray(U, dtype=complex) for U in unitaries]
+    shape = Us[0].shape
     for i, U in enumerate(Us):
-        if U.shape != (d, d) or np.abs(U.conj().T @ U - np.eye(d)).max() > 1e-10:
+        ok = U.ndim >= 2 and U.shape == shape and shape[-2] == shape[-1] and np.isfinite(U).all()
+        if not ok or np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(shape[-1])).max(initial=0.0) > 1e-10:
             raise ValueError(f"substitution {i + 1} is not unitary within 1e-10")
-    out = np.zeros((p.c * d, p.c * d), dtype=complex)
+    d = shape[-1]
+    out = np.zeros((*shape[:-2], p.c * d, p.c * d), dtype=complex)
     for w, A in p.terms.items():
         out += np.kron(A, eval_word(Us, w))
     return out
+
+
+#: Cap on c * d_max in positivity sampling, to keep each sampled p(U) desk-scale.
+SAMPLE_DIM_CAP = 1024
+
+#: Matrix entries drawn and evaluated at once by positivity sampling.
+_SAMPLE_CHUNK = 1 << 18
 
 
 def sample_positivity(
@@ -180,21 +193,37 @@ def sample_positivity(
 
     A clearly negative return certifies that p is not positive; a
     nonnegative return is evidence only.  Dimensions are drawn uniformly
-    from 1..d_max.
+    from 1..d_max.  The trials are drawn one after another and evaluated in
+    stacks of equal dimension, a bounded number of entries at a time; the
+    minimum is taken in trial order.
     """
     if trials < 1:
         raise ValueError(f"positivity sampling needs at least one trial, got {trials}")
     if d_max < 1:
         raise ValueError(f"positivity sampling needs d_max >= 1, got {d_max}")
+    n = p.c * d_max
+    if n > SAMPLE_DIM_CAP:
+        raise ValueError(
+            f"--dmax {d_max} makes p(U) up to {n} x {n}, above the cap of "
+            f"{SAMPLE_DIM_CAP} on c * d_max"
+        )
     if not p.is_hermitian():
         raise ValueError("positivity sampling needs a Hermitian polynomial")
+    m = p.ctx.m
     rng = np.random.default_rng(seed)
+    chunk = max(1, _SAMPLE_CHUNK // ((m + p.c * p.c) * d_max * d_max))
     worst = np.inf
-    for _ in range(trials):
-        d = int(rng.integers(1, d_max + 1))
-        Us = [haar_unitary(d, rng) for _ in range(p.ctx.m)]
-        M = eval_unitaries(p, Us)
-        worst = min(worst, float(np.linalg.eigvalsh((M + M.conj().T) / 2.0).min()))
+    for start in range(0, trials, chunk):
+        dims, draws = [], []
+        for _ in range(min(chunk, trials - start)):
+            dims.append(int(rng.integers(1, d_max + 1)))
+            draws.append([haar_unitary(dims[-1], rng) for _ in range(m)])
+        mins = np.empty(len(dims))
+        for d in set(dims):
+            sel = [t for t, e in enumerate(dims) if e == d]
+            M = eval_unitaries(p, [np.stack([draws[t][k] for t in sel]) for k in range(m)])
+            mins[sel] = np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2.0).min(axis=-1)
+        worst = min(worst, *mins.tolist())
     return worst
 
 
@@ -230,36 +259,40 @@ class InfeasibleReport:
 
 
 class _GramProblem:
-    """Vectorized block-sum machinery for the Gram feasibility search."""
+    """Vectorized block-sum machinery for the Gram feasibility search.
+
+    ``entry`` gives, for each entry of G, its slot ``(cls * c + a) * c + b``
+    among the flattened class sums: entry (a, b) of the block at the pair
+    (s, t) of index words adds to entry (a, b) of the sum for the class of
+    s^-1 t.  ``targets`` and ``counts`` are flat over the same slots.
+    """
 
     def __init__(self, p: NcPolynomial, index: list[Word]):
         c = p.c
         N = len(index)
         table, class_words = pair_table(index)
         ar = np.arange(c)
-        ii, jj = np.divmod(np.arange(N * N), N)
-        self.rows = ii[:, None, None] * c + np.broadcast_to(ar[:, None], (c, c))
-        self.cols = jj[:, None, None] * c + np.broadcast_to(ar[None, :], (c, c))
-        self.cls = table.reshape(-1)
-        self.counts = np.bincount(self.cls, minlength=len(class_words)).astype(float)
-        self.targets = np.stack([p.coefficient(w) for w in class_words])
+        entry = (table[:, None, :, None] * c + ar[:, None, None]) * c + ar
+        self.entry = entry.reshape(N * c, N * c)
+        self.targets = np.stack([p.coefficient(w) for w in class_words]).reshape(-1)
+        self.counts = np.bincount(self.entry.reshape(-1), minlength=self.targets.size).astype(float)
         self.c = c
         self.size = N * c
 
     def class_sums(self, G: np.ndarray) -> np.ndarray:
-        blocks = G[self.rows, self.cols]
-        sums = np.zeros_like(self.targets)
-        np.add.at(sums, self.cls, blocks)
+        """The flat class sums of G, each slot added up in row-major order of G."""
+        flat, n = self.entry.reshape(-1), self.targets.size
+        sums = np.empty(n, dtype=complex)
+        sums.real = np.bincount(flat, G.real.reshape(-1), n)
+        sums.imag = np.bincount(flat, G.imag.reshape(-1), n)
         return sums
 
     def affine_project(self, G: np.ndarray) -> np.ndarray:
-        delta = (self.targets - self.class_sums(G)) / self.counts[:, None, None]
-        out = G.copy()
-        out[self.rows, self.cols] += delta[self.cls]
+        out = G + ((self.targets - self.class_sums(G)) / self.counts)[self.entry]
         return (out + out.conj().T) / 2.0
 
     def affine_gap(self, G: np.ndarray) -> float:
-        diff = self.class_sums(G) - self.targets
+        diff = (self.class_sums(G) - self.targets).reshape(-1, self.c, self.c)
         return float(np.linalg.norm(diff, 2, axis=(1, 2)).max())
 
     def residual_of_factor(self, B: np.ndarray) -> float:
@@ -279,19 +312,19 @@ class _GramProblem:
         class fix the rest of the pair, so each entry of J gets at most one
         addend per product, and their order cannot change its bits.
         """
-        R, c, neq = B.shape[0], self.c, self.targets.size
-        ar = np.arange(c)
-        eqs = ((self.cls[:, None, None] * c + ar[:, None]) * c + ar)[..., None]
-        J = np.zeros((neq, 2, 2, R * self.size))
+        R, n, neq = B.shape[0], self.size, self.targets.size
+        eqs = self.entry[..., None]
+        J = np.zeros((neq, 2, 2, R * n))
 
         def scatter(z, gram_index, sign):
-            var = np.arange(R) * self.size + gram_index[..., None]
+            var = np.arange(R) * n + gram_index[..., None]
             re_row = np.stack([z.real, sign * z.imag], -1)
             im_row = np.stack([z.imag, -sign * z.real], -1)
             np.add.at(J, (eqs, slice(None), slice(None), var), np.stack([re_row, im_row], -2))
 
-        scatter(B.T[self.cols], self.rows, 1.0)
-        scatter(B.T[self.rows].conj(), self.cols, -1.0)
+        rows, cols = np.indices((n, n))
+        scatter(B.T[cols], rows, 1.0)
+        scatter(B.T[rows].conj(), cols, -1.0)
         return J.reshape(2 * neq, -1)
 
 

@@ -193,6 +193,19 @@ def check_ball_cap(m: int, n: int, cap: int = DEFAULT_BALL_CAP) -> None:
             )
 
 
+def _spheres(ctx: GroupContext, n: int) -> Iterator[list[Word]]:
+    """The spheres of radius 0, 1, ..., n in turn, each built from the one before.
+
+    Each word of a sphere is followed by its extensions in letter order, so
+    every sphere comes out in lexicographic order.
+    """
+    words = [E]
+    yield words
+    for _ in range(n):
+        words = [w + (x,) for w in words for x in ctx.letter_order if not w or x != -w[-1]]
+        yield words
+
+
 def sphere(ctx: GroupContext, n: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
     """All reduced words of length exactly n, in lexicographic order."""
     if n < 0:
@@ -202,22 +215,8 @@ def sphere(ctx: GroupContext, n: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]
             f"sphere of radius {n} in F_{ctx.m} has {sphere_size(ctx.m, n)} words, "
             f"above the cap of {cap}"
         )
-    out: list[Word] = []
-    stack: list[int] = []
-
-    def rec():
-        if len(stack) == n:
-            out.append(tuple(stack))
-            return
-        prev = stack[-1] if stack else None
-        for cand in ctx.letter_order:
-            if prev is None or cand != -prev:
-                stack.append(cand)
-                rec()
-                stack.pop()
-
-    rec()
-    return out
+    *_, words = _spheres(ctx, n)
+    return words
 
 
 def ball(ctx: GroupContext, n: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
@@ -225,10 +224,7 @@ def ball(ctx: GroupContext, n: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
     if n < 0:
         raise ValueError("ball radius must be nonnegative")
     check_ball_cap(ctx.m, n, cap)
-    out: list[Word] = []
-    for j in range(n + 1):
-        out.extend(sphere(ctx, j, cap=cap))
-    return out
+    return [w for words in _spheres(ctx, n) for w in words]
 
 
 def pair_table(index: Sequence[Word]) -> tuple[np.ndarray, list[Word]]:
@@ -364,15 +360,17 @@ class ClassCursor:
         return other <= self
 
 
+def _class_cursors(ctx: GroupContext, words: list[Word]) -> Iterator[ClassCursor]:
+    return (ClassCursor(w, ctx) for w in words if is_class_rep(w, ctx))
+
+
 def classes_of_length(ctx: GroupContext, n: int) -> Iterator[ClassCursor]:
     """All classes whose representative has length exactly n, in order."""
-    for w in sphere(ctx, n):
-        if is_class_rep(w, ctx):
-            yield ClassCursor(w, ctx)
+    yield from _class_cursors(ctx, sphere(ctx, n))
 
 
 def classes_up_to(ctx: GroupContext, n: int) -> Iterator[ClassCursor]:
     """All classes of length at most n, in increasing order; S_n must respect the ball cap."""
     check_ball_cap(ctx.m, n)
-    for j in range(n + 1):
-        yield from classes_of_length(ctx, j)
+    for words in _spheres(ctx, n):
+        yield from _class_cursors(ctx, words)

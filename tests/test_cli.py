@@ -56,6 +56,10 @@ def test_haagerup_verify_roundtrip(tmp_path, capfd):
         code, _, err = run(capfd, "haagerup", "--m", "2", "--t", t, "--n", "1", "-o", str(f))
         assert_bad_input(code, err)
         assert "decay rate" in json.loads(err)["detail"]
+    # a radius far past the interpreter's recursion limit, reachable on F_1
+    code, _, _ = run(capfd, "haagerup", "--m", "1", "--t", "1", "--n", "1000", "-o", str(f))
+    assert code == 0
+    assert len(jsonio.load_path(f)["entries"]) == 1001
 
 
 def test_verify_rejects_non_positive(tmp_path, capfd):
@@ -112,10 +116,12 @@ def test_malformed_input_exits_2(tmp_path, capfd):
     code, _, err = run(capfd, "check-ortho", str(h), "--level", "-1")
     assert_bad_input(code, err)
     assert json.loads(err)["detail"] == "level must be nonnegative, got -1"
-    # a huge radius or generator count is refused at once, before any enumeration
+    # a huge radius, generator count or unitary dimension is refused at once, before any work
     huge = str(10**12)
     poly = tmp_path / "p.json"
     jsonio.dump_path(poly, {"schema": "ncpoly.v1", "m": 10**12, "c": 1, "terms": []})
+    square = tmp_path / "sq.json"
+    write_shifted_square(square)
     for argv in (
         ["extend", str(h), "--to", huge, "-o", str(tmp_path / "x.json")],
         ["haagerup", "--m", "1", "--t", "0.7", "--n", huge, "-o", str(tmp_path / "x.json")],
@@ -125,6 +131,11 @@ def test_malformed_input_exits_2(tmp_path, capfd):
         code, _, err = run(capfd, *argv)
         assert_bad_input(code, err)
         assert "above the cap" in json.loads(err)["detail"]
+    code, _, err = run(capfd, "sample", str(square), "--dmax", "1000000", "--trials", "1")
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == (
+        "--dmax 1000000 makes p(U) up to 1000000 x 1000000, above the cap of 1024 on c * d_max"
+    )
     with pytest.raises(SystemExit) as exc:
         main(["extend", "--help"])
     assert exc.value.code == 0
@@ -306,7 +317,7 @@ def test_bad_header_is_bad_input(tmp_path, capfd):
 #: Flag values that reach the program as text, invalid or at a boundary.
 ODD_VALUES = ("nan", "inf", "-inf", "-1", "0", "-1e-8", "1e-8", "x")
 
-#: The same for a radius or a generator count, which may also be huge.
+#: The same for a radius, a generator count or a unitary dimension, which may also be huge.
 ODD_SIZES = (*ODD_VALUES, "1000000000000")
 
 #: What a mutated JSON document may hold in place of one of its values.
@@ -412,7 +423,7 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
         max_iter = data.draw(st.sampled_from(("-1", "0", "1", "20", "x")))
         argv = ["factor", source("ncpoly"), *flag("--tol", "1e-6"), "--max-iter", max_iter, "-o", out]
     else:
-        argv = ["sample", source("ncpoly"), *flag("--trials", "5"), *flag("--dmax", "1", "2")]
+        argv = ["sample", source("ncpoly"), *flag("--trials", "5"), *flag("--dmax", "1", "2", odd=ODD_SIZES)]
         argv += flag("--seed", "0", "3")
     stdout, stderr = io.StringIO(), io.StringIO()
     with (

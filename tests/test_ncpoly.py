@@ -1,11 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freepd import jsonio
+from freepd import jsonio, ncpoly
 from freepd.ncpoly import (
     InfeasibleReport,
     NcContextError,
@@ -21,7 +22,7 @@ from freepd.ncpoly import (
     split_squares,
 )
 from freepd.sampling import haar_unitary
-from freepd.words import E, GroupContext, ball, mul
+from freepd.words import E, GroupContext, ball, mul, pair_table
 
 CTX1 = GroupContext(1)
 CTX2 = GroupContext(2)
@@ -118,6 +119,7 @@ def test_sample_requires_hermitian():
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
+@example(group_degree=(1, 2), c=2, rank=5, seed=0)
 @given(
     group_degree=st.sampled_from([(1, 1), (2, 1), (1, 2)]),
     c=st.sampled_from([1, 2]),
@@ -138,6 +140,96 @@ def test_jacobian_is_the_linearized_class_sum(group_degree, c, rank, seed):
     expected[1::2] = dF.imag
     got = prob.jacobian(B) @ np.concatenate([dB.real.reshape(-1), dB.imag.reshape(-1)])
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+kernel_property = settings(derandomize=True, max_examples=40, deadline=None)
+polynomials = {
+    "m": st.sampled_from([1, 2, 3]),
+    "c": st.sampled_from([1, 2]),
+    "degree": st.sampled_from([1, 2]),
+    "seed": st.integers(0, 2**32 - 1),
+}
+
+
+def kron_reference(p, Us):
+    """p(U) at one tuple of d x d unitaries: one word product and one np.kron per term."""
+    d = Us[0].shape[0]
+    out = np.zeros((p.c * d, p.c * d), dtype=complex)
+    for w, A in p.terms.items():
+        W = np.eye(d, dtype=complex)
+        for x in w:
+            U = Us[abs(x) - 1]
+            W = W @ (U if x > 0 else U.conj().T)
+        out += np.kron(A, W)
+    return out
+
+
+def streaming_sample(p, trials, d_max, seed):
+    """The least sampled eigenvalue, one trial at a time."""
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(trials):
+        d = int(rng.integers(1, d_max + 1))
+        M = kron_reference(p, [haar_unitary(d, rng) for _ in range(p.ctx.m)])
+        worst = min(worst, float(np.linalg.eigvalsh((M + M.conj().T) / 2.0).min()))
+    return worst
+
+
+@kernel_property
+@given(**polynomials)
+def test_slot_map_sums_like_the_scatter(m, c, degree, seed):
+    # the bincount over the slot map adds each class sum in the order of an
+    # np.add.at scatter over (Gram row, Gram column, class), bit for bit
+    ctx = GroupContext(m)
+    rng = np.random.default_rng(seed)
+    p = random_poly(ctx, c, degree, rng)
+    index = ball(ctx, degree)
+    prob = _GramProblem(p, index)
+    N = len(index)
+    table, class_words = pair_table(index)
+    ar = np.arange(c)
+    ii, jj = np.divmod(np.arange(N * N), N)
+    rows = ii[:, None, None] * c + ar[:, None]
+    cols = jj[:, None, None] * c + ar
+    cls = table.reshape(-1)
+    counts = np.bincount(cls, minlength=len(class_words)).astype(float)
+    targets = np.stack([p.coefficient(w) for w in class_words])
+    G = rng.normal(size=(N * c, N * c)) + 1j * rng.normal(size=(N * c, N * c))
+    sums = np.zeros_like(targets)
+    np.add.at(sums, cls, G[rows, cols])
+    assert np.array_equal(prob.class_sums(G), sums.reshape(-1))
+    out = G.copy()
+    out[rows, cols] += ((targets - sums) / counts[:, None, None])[cls]
+    assert np.array_equal(prob.affine_project(G), (out + out.conj().T) / 2.0)
+
+
+@kernel_property
+@given(**polynomials, d=st.integers(1, 3), stack=st.integers(1, 4))
+def test_stacked_evaluation_equals_the_kron_loop(m, c, degree, seed, d, stack):
+    rng = np.random.default_rng(seed)
+    p = random_poly(GroupContext(m), c, degree, rng)
+    tuples = [[haar_unitary(d, rng) for _ in range(m)] for _ in range(stack)]
+    got = eval_unitaries(p, [np.stack([Us[k] for Us in tuples]) for k in range(m)])
+    assert got.shape == (stack, c * d, c * d)
+    for M, Us in zip(got, tuples):
+        assert np.array_equal(M, kron_reference(p, Us))
+        assert np.array_equal(eval_unitaries(p, Us), M)
+
+
+@kernel_property
+@given(
+    **polynomials,
+    trials=st.integers(1, 30),
+    d_max=st.integers(1, 4),
+    chunk=st.sampled_from([1, 40, 1 << 18]),
+)
+def test_sampling_equals_the_streaming_loop(m, c, degree, seed, trials, d_max, chunk):
+    # the same draws and the same minimum as one trial at a time, for any chunk budget
+    p = random_poly(GroupContext(m), c, degree, np.random.default_rng(seed))
+    p = p + p.adjoint()
+    with mock.patch.object(ncpoly, "_SAMPLE_CHUNK", chunk):
+        got = sample_positivity(p, trials, d_max, seed)
+    assert got == streaming_sample(p, trials, d_max, seed)
 
 
 def test_factor_hand_example():
