@@ -25,7 +25,11 @@ A[E,E]^+ is V_keep diag(w_keep)^-1 V_keep*, and with
 R_x = diag(w_keep)^(-1/2) V_keep* A[E,x] the Schur complement is
 S_x = A[x,x] - R_x* R_x.  The cut is the rounding level of the window,
 not a user tolerance: a coarser cut projects away directions that a
-nearly singular window still resolves.
+nearly singular window still resolves.  It makes three LAPACK calls per
+window: that ``eigh``, one ``eigvalsh`` over both partial-positivity
+tests stacked, and one ``eigh`` over both Schur complements stacked,
+whose eigenpairs give the defect factors.  On windows of size 1-10 the
+cost is numpy's per-call overhead, not the factorizations.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, gram_factor, is_psd, pinv
+from .linalg import DEFAULT_TOL, Tolerance, _gram_factors, as_matrix, is_psd, pinv
 
 #: Operator-norm overshoot treated as floating-point noise and renormalized.
 GAMMA_NORM_SLACK = 1e-9
@@ -123,33 +127,49 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DefectData:
     In the eigenbasis of A[E,E], the submatrix over E + {x} is PSD exactly
     when [[diag(w_drop), V_drop* A[E,x]], [., S_x]] is: the V_drop rows
     catch a column x with a component in the null space of A[E,E].
+    Both bordered matrices have the shape |drop| + k, so one stacked
+    ``eigvalsh`` tests them (a failure on the k side is reported first),
+    and one stacked ``eigh`` factors both Schur complements as
+    :func:`gram_factor` would factor each.
     """
     i, j = P.missing
     k = P.k
-    others = np.delete(np.arange(P.p * k).reshape(P.p, k), (i, j), axis=0).ravel()
+    block = np.arange(P.p * k) // k
+    others = (block != i) & (block != j)
     rows = P.entries[others]
     A_EE = rows[:, others]
     w, V = np.linalg.eigh(A_EE)
-    keep = w > others.size * np.finfo(float).eps * max(w.max(initial=0.0), 0.0)
-    w_drop = np.diag(w[~keep])
+    keep = w > A_EE.shape[0] * np.finfo(float).eps * max(w.max(initial=0.0), 0.0)
     scale = max(1.0, np.abs(w).max(initial=0.0))
-    S = []
-    for x, y in ((i, j), (j, i)):
-        B = V.conj().T @ rows[:, x * k : (x + 1) * k]
-        R_x = B[keep] / np.sqrt(w[keep])[:, None]
+    # V* A[E,k] and V* A[E,l] stay two products: one fused product rounds differently
+    B = [V.conj().T @ rows[:, x * k : (x + 1) * k] for x in (i, j)]
+    drop = ~keep
+    d = np.count_nonzero(drop)
+    bordered = np.zeros((2, d + k, d + k), dtype=complex)
+    bordered[:, :d, :d] = np.diag(w[drop])
+    root = np.sqrt(w[keep])[:, None]
+    for n, x in enumerate((i, j)):
+        R_x = B[n][keep] / root
         S_x = P.block(x, x) - R_x.conj().T @ R_x
-        S.append((S_x + S_x.conj().T) / 2.0)
-        mu = np.linalg.eigvalsh(np.block([[w_drop, B[~keep]], [B[~keep].conj().T, S[-1]]]))
-        if mu.min() < -tol.psd_eps * max(scale, np.abs(mu).max()):
+        bordered[n, d:, d:] = (S_x + S_x.conj().T) / 2.0
+        bordered[n, :d, d:] = B[n][drop]
+        bordered[n, d:, :d] = B[n][drop].conj().T
+    mu = np.linalg.eigvalsh(bordered)
+    floor = -tol.psd_eps * np.maximum(scale, np.abs(mu).max(axis=1))
+    for y, bad in zip((j, i), mu.min(axis=1) < floor):
+        if bad:
             raise PartialPositivityError(
                 f"partial positivity violated: submatrix without block {y} is not PSD"
             )
-    # the last pass had x = l, so B = V* A[E,l]
+    S = bordered[:, d:, d:]
+    if not np.isfinite(S).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    defect_k, defect_l = _gram_factors(S, tol)
     A_kE = P.entries[i * k : (i + 1) * k, others]
     return DefectData(
-        central=A_kE @ (V[:, keep] @ (B[keep] / w[keep][:, None])),
-        defect_k=gram_factor(S[0], tol),
-        defect_l=gram_factor(S[1], tol),
+        central=A_kE @ (V[:, keep] @ (B[1][keep] / w[keep][:, None])),
+        defect_k=defect_k,
+        defect_l=defect_l,
     )
 
 
@@ -157,6 +177,8 @@ def _coerce_gamma(gamma, shape: tuple[int, int]) -> np.ndarray:
     g = np.asarray(gamma, dtype=complex)
     if g.ndim == 0:
         g = g.reshape(1, 1)
+    if g.size == 0 and 0 in shape:  # JSON writes every empty matrix as [], read back as (0, 0)
+        g = g.reshape(shape)
     if g.shape != shape:
         raise ContractionNormError(
             f"completion parameter has shape {g.shape}, expected {shape}"
@@ -167,7 +189,7 @@ def _coerce_gamma(gamma, shape: tuple[int, int]) -> np.ndarray:
 
 def _renormalized(g: np.ndarray, slack: float, error: type, message: str) -> np.ndarray:
     """g scaled back to operator norm 1, or ``error(message.format(norm))`` beyond 1 + slack."""
-    if g.size:
+    if g.any():  # a zero g has norm 0: no SVD
         norm = np.linalg.norm(g, 2)
         if norm > 1.0 + slack:
             raise error(message.format(norm))

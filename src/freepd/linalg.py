@@ -90,16 +90,23 @@ def gram_factor(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     _check_hermitian(M)
     if M.size == 0:
         return np.zeros((0, M.shape[1]), dtype=complex)
-    w, V = eig_hermitian(M)
-    scale = max(1.0, np.abs(w).max())
-    if w[-1] < -tol.psd_eps * scale:
-        raise NotPsdError(
-            f"matrix is not PSD: min eigenvalue {w[-1]:.3e} below floor "
-            f"{-tol.psd_eps * scale:.3e}"
-        )
-    cutoff = tol.rank_eps * max(w.max(initial=0.0), 0.0)
-    keep = w > cutoff
-    return np.sqrt(w[keep])[:, None] * V[:, keep].conj().T
+    return _gram_factors(((M + M.conj().T) / 2.0)[None], tol)[0]
+
+
+def _gram_factors(M: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
+    """:func:`gram_factor` of each exactly Hermitian, finite matrix of a stack, unchecked."""
+    ws, Vs = np.linalg.eigh(M)
+    factors = []
+    for w, V in zip(ws[:, ::-1], Vs[:, :, ::-1]):
+        scale = max(1.0, np.abs(w).max())
+        if w[-1] < -tol.psd_eps * scale:
+            raise NotPsdError(
+                f"matrix is not PSD: min eigenvalue {w[-1]:.3e} below floor "
+                f"{-tol.psd_eps * scale:.3e}"
+            )
+        keep = w > tol.rank_eps * max(w.max(initial=0.0), 0.0)
+        factors.append(np.sqrt(w[keep])[:, None] * V[:, keep].conj().T)
+    return factors
 
 
 def pinv(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -131,6 +131,18 @@ def test_params_json_roundtrip():
         assert np.array_equal(params[cur], g)
 
 
+def test_params_json_replays_empty_parameters():
+    # a (0, d) parameter is written as [] and read back as (0, 0); the
+    # replay takes it as the empty parameter its step expects
+    phi = random_pd_function(GroupContext(3), 1, 1, np.random.default_rng(0))
+    out, trace = extend_to_ball(phi, 4, random_gamma_oracle(0))
+    assert any(g.shape[0] == 0 < g.shape[1] for g in trace.params().values())
+    doc = params_to_json(phi.ctx, 1, 1, 4, trace.params())
+    *_, params = params_from_json(json.loads(jsonio.dumps(doc)))
+    replay, _ = extend_to_ball(phi, 4, oracle_from_params(params))
+    assert replay == out
+
+
 def test_restriction_coherence():
     # extending to S_3 and restricting to S_2 equals extending to S_2,
     # for the same oracle decisions on the shared classes
