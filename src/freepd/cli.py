@@ -1,10 +1,11 @@
 """Command-line front end over the JSON file formats.
 
-Deterministic and scriptable: a run with identical inputs and options
-produces byte-identical output files.  Exit status 0 on success, 1 on a
-mathematical failure (non-positive input, violated orthogonality,
-infeasible factorization), 2 on malformed input; failures emit a
-structured JSON diagnostic on standard error.
+Deterministic and scriptable: on one numpy/BLAS build and BLAS thread
+count, a run with identical inputs and options produces byte-identical
+output files.  Exit status 0 on success, 1 on a mathematical failure
+(non-positive input, violated orthogonality, infeasible factorization, a
+LAPACK routine that does not converge), 2 on malformed input; failures
+emit a structured JSON diagnostic on standard error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import argparse
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import jsonio
 from .completion import CompletionError, ContractionNormError, PartialPositivityError
@@ -33,13 +36,7 @@ from .ncpoly import (
     ncpolynomial_from_json,
     sample_positivity,
 )
-from .pdfun import (
-    DomainError,
-    MissingValueError,
-    pdfunction_from_json,
-    radialize,
-    verify_pd,
-)
+from .pdfun import MissingValueError, pdfunction_from_json, radialize, verify_pd
 from .quasimult import haagerup
 from .sampling import random_gamma_oracle
 from .words import GroupContext
@@ -51,6 +48,7 @@ MATH_ERRORS = (
     CompletionError,
     ContractionNormError,
     MissingValueError,
+    np.linalg.LinAlgError,  # a ValueError, but a LAPACK failure, not bad input
 )
 
 
@@ -289,7 +287,7 @@ def main(argv=None) -> int:
     except (jsonio.SchemaError, CliInputError, FileNotFoundError, IsADirectoryError) as exc:
         _diagnostic("bad-input", str(exc))
         return 2
-    except (ValueError, KeyError, DomainError) as exc:
+    except (ValueError, KeyError) as exc:
         _diagnostic("bad-input", str(exc))
         return 2
 

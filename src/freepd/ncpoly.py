@@ -27,7 +27,7 @@ import numpy as np
 from . import jsonio
 from .linalg import _psd_clip, as_matrix
 from .sampling import haar_unitary
-from .words import GroupContext, Word, ball, inverse, mul, pair_table, reduce_word
+from .words import GroupContext, Word, WordIndex, inverse, mul, reduce_word
 
 
 class NcContextError(ValueError):
@@ -261,20 +261,27 @@ class InfeasibleReport:
 class _GramProblem:
     """Vectorized block-sum machinery for the Gram feasibility search.
 
-    ``entry`` gives, for each entry of G, its slot ``(cls * c + a) * c + b``
+    The Gram ``index`` S_d (d = deg p) is the first ``ends[d]`` words of a
+    :class:`WordIndex` of S_2d, which numbers every difference s^-1 t of it.
+    ``entry`` gives, for each entry of G, its slot ``(id * c + a) * c + b``
     among the flattened class sums: entry (a, b) of the block at the pair
-    (s, t) of index words adds to entry (a, b) of the sum for the class of
+    (s, t) of index words adds to entry (a, b) of the sum for the word id of
     s^-1 t.  ``targets`` and ``counts`` are flat over the same slots.
     """
 
-    def __init__(self, p: NcPolynomial, index: list[Word]):
+    def __init__(self, p: NcPolynomial):
         c = p.c
-        N = len(index)
-        table, class_words = pair_table(index)
-        ar = np.arange(c)
+        words = WordIndex(p.ctx, 2 * p.degree)
+        N = words.ends[p.degree]
+        self.index = words.words[:N]
+        ar, ids = np.arange(c), np.arange(N)
+        table = words.diffs(ids, ids)
         entry = (table[:, None, :, None] * c + ar[:, None, None]) * c + ar
         self.entry = entry.reshape(N * c, N * c)
-        self.targets = np.stack([p.coefficient(w) for w in class_words]).reshape(-1)
+        targets = np.zeros((words.size, c, c), dtype=complex)
+        for w, A in p.terms.items():
+            targets[words.ids[w]] = A
+        self.targets = targets.reshape(-1)
         self.counts = np.bincount(self.entry.reshape(-1), minlength=self.targets.size).astype(float)
         self.c = c
         self.size = N * c
@@ -335,7 +342,9 @@ def _gauss_newton_polish(
 
     Damped Gauss-Newton on B (real and imaginary parts as unknowns);
     returns the improved factor and its stacked residual.  G = B* B stays
-    PSD by construction, so a small enough residual certifies success.
+    PSD by construction, so a small enough residual certifies success.  A
+    least-squares solve that does not converge ends the attempt with the
+    factor reached so far.
     """
     B = B0.copy()
     F, res = prob.stacked_residual(B)
@@ -346,7 +355,10 @@ def _gauss_newton_polish(
         rhs = np.empty(J.shape[0])
         rhs[0::2] = F.real.reshape(-1)
         rhs[1::2] = F.imag.reshape(-1)
-        delta, *_ = np.linalg.lstsq(J, -rhs, rcond=None)
+        try:
+            delta, *_ = np.linalg.lstsq(J, -rhs, rcond=None)
+        except np.linalg.LinAlgError:  # the SVD did not converge: this attempt ends here
+            break
         dB = delta[: B.size].reshape(B.shape) + 1j * delta[B.size :].reshape(B.shape)
         step = 1.0
         improved = False
@@ -363,13 +375,14 @@ def _gauss_newton_polish(
     return B, res
 
 
-def _certificate(prob, index, m, c, B, iterations) -> SosCertificate:
+def _certificate(prob, m, B, iterations) -> SosCertificate:
+    c = prob.c
     drop = np.abs(B).max(axis=1, initial=0.0) > 0.0
     B = B[drop] if B.size else B
     gram = B.conj().T @ B
-    factors = {w: B[:, i * c : (i + 1) * c].copy() for i, w in enumerate(index)}
+    factors = {w: B[:, i * c : (i + 1) * c].copy() for i, w in enumerate(prob.index)}
     return SosCertificate(
-        index=tuple(index),
+        index=tuple(prob.index),
         m=m,
         c=c,
         gram=gram,
@@ -393,15 +406,16 @@ def factor_sos(
     whose Gram matrix is PSD by construction and whose coefficient
     residual is at most ``tol``; exhaustion returns an
     :class:`InfeasibleReport` with the terminal gap, which is NOT a proof
-    of non-positivity.
+    of non-positivity.  The coefficient classes number S_2d (d = deg p),
+    so a polynomial whose S_2d passes the ball cap raises
+    :class:`~freepd.words.BallSizeError` before any iteration.
     """
     if max_iter < 1:
         raise ValueError(f"sum-of-squares search needs max_iter >= 1, got {max_iter}")
     if not p.is_hermitian():
         raise ValueError("sum-of-squares factorization needs a Hermitian polynomial")
     c = p.c
-    index = ball(p.ctx, p.degree)
-    prob = _GramProblem(p, index)
+    prob = _GramProblem(p)
     scale = max(1.0, float(np.abs(prob.targets).max(initial=0.0)))
     X = prob.affine_project(np.zeros((prob.size, prob.size), dtype=complex))
     correction = np.zeros_like(X)
@@ -422,7 +436,7 @@ def factor_sos(
             if affine_gap <= tol / 10 and psd_gap <= tol / 10:
                 B = _top_rank_factor(Y)
                 if prob.residual_of_factor(B) <= tol:
-                    return _certificate(prob, index, p.ctx.m, c, B, it)
+                    return _certificate(prob, p.ctx.m, B, it)
         # every polish iteration is also a gap check, so affine_gap belongs to this Y
         if (it % 200 == 0 or last) and polish_budget > 0:
             if affine_gap <= max(100 * tol, 1e-2 * scale):
@@ -432,7 +446,7 @@ def factor_sos(
                     seed = np.sqrt(np.clip(w[-R:], 0.0, None))[:, None] * V[:, -R:].conj().T
                     B, res = _gauss_newton_polish(prob, seed, tol / 10)
                     if res <= tol / 10:
-                        return _certificate(prob, index, p.ctx.m, c, B, it)
+                        return _certificate(prob, p.ctx.m, B, it)
     return InfeasibleReport(
         gap=float(np.linalg.norm(Y - X)),
         affine_residual=affine_gap,

@@ -42,7 +42,6 @@ from .words import (
     classes_up_to,
     inverse,
     mul,
-    pair_table,
     reduce_word,
     sphere,
 )
@@ -273,10 +272,6 @@ class GramMatrix:
     k: int
     blocks: np.ndarray
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        k = self.k
-        return self.blocks[i * k : (i + 1) * k, j * k : (j + 1) * k]
-
 
 class WordValues:
     """Blocks at the words of a :class:`WordIndex`, with a mask of the known ones.
@@ -420,40 +415,34 @@ def function_of_toeplitz(
 ) -> PdFunction:
     """The positive definite function on S_2n encoded by a PSD Toeplitz matrix over S_n.
 
-    Each word x of length <= 2n is split as x = s^-1 t with s, t in S_n,
-    and Phi(x) is read off the corresponding block; the Toeplitz property
-    makes the choice of split irrelevant.  Non-Toeplitz input is rejected
-    naming the violating pair of index pairs, non-PSD input is rejected.
+    Phi(x) is read off the first pair (s, t) of the index, row by row, with
+    s^-1 t = x; every x of length <= 2n has one, and the Toeplitz property
+    makes the choice irrelevant.  Non-Toeplitz input is rejected naming the
+    violating pair of index pairs, non-PSD input is rejected.
     """
     index = list(M.index)
     n = max((len(w) for w in index), default=0)
-    if sorted(index, key=ctx.sort_key) != ball(ctx, n):
+    words = WordIndex(ctx, 2 * n)
+    if sorted(index, key=ctx.sort_key) != words.words[: words.ends[n]]:
         raise ValueError(f"index set is not the ball S_{n}")
-    pos = {w: i for i, w in enumerate(index)}
     scale = max(1.0, np.abs(M.blocks).max(initial=0.0))
     N, k = len(index), M.k
-    table, diffs = pair_table(index)
-    flat = table.reshape(-1)
-    first = np.unique(flat, return_index=True)[1][flat]  # the first pair indexing each word
+    ids = [words.ids[w] for w in index]
+    flat = words.diffs(ids, ids).reshape(-1)
+    first = np.unique(flat, return_index=True)[1]  # by word id: each id of S_2n occurs
     blocks = M.blocks.reshape(N, k, N, k).transpose(0, 2, 1, 3).reshape(N * N, k, k)
-    bad = np.flatnonzero(np.abs(blocks - blocks[first]).max(axis=(1, 2)) > 1e-12 * scale)
+    bad = np.flatnonzero(np.abs(blocks - blocks[first[flat]]).max(axis=(1, 2)) > 1e-12 * scale)
     if bad.size:
-        (a, b), (i, j) = divmod(first[bad[0]], N), divmod(bad[0], N)
+        x = flat[bad[0]]
+        (a, b), (i, j) = divmod(first[x], N), divmod(bad[0], N)
         raise ValueError(
             f"not Toeplitz: blocks at ({index[a]}, {index[b]}) and "
-            f"({index[i]}, {index[j]}) differ although both index {diffs[flat[bad[0]]]}"
+            f"({index[i]}, {index[j]}) differ although both index {words.words[x]}"
         )
     if not is_psd(M.blocks, tol):
         raise NotPsdError("the Toeplitz matrix is not positive semidefinite")
-    values: dict[Word, np.ndarray] = {}
-    for x in diffs:
-        rep = class_rep(x, ctx)
-        if rep in values:
-            continue
-        a = max(0, len(rep) - n)
-        s = inverse(rep[:a])
-        t = rep[a:]
-        values[rep] = M.block(pos[s], pos[t]).copy()
+    reps = np.flatnonzero(~words.adj[: words.size])
+    values = dict(zip((words.words[x] for x in reps), blocks[first[reps]]))
     return PdFunction(ctx, M.k, BallDomain(2 * n), values)
 
 

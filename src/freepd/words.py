@@ -26,12 +26,12 @@ Word = tuple
 #: The unit element (empty word).
 E: Word = ()
 
-#: Default cap on ball enumeration, to keep dense Gram matrices desk-scale.
+#: The cap on ball and sphere enumeration, to keep dense Gram matrices desk-scale.
 DEFAULT_BALL_CAP = 200_000
 
 
 class BallSizeError(ValueError):
-    """Requested ball exceeds the configured enumeration cap."""
+    """Requested ball exceeds the enumeration cap."""
 
 
 def default_letter_order(m: int) -> tuple[int, ...]:
@@ -176,8 +176,8 @@ def ball_size(m: int, n: int) -> int:
     return sum(sphere_size(m, j) for j in range(n + 1))
 
 
-def check_ball_cap(m: int, n: int, cap: int = DEFAULT_BALL_CAP) -> None:
-    """Refuse a ball of radius n in F_m with more than ``cap`` words.
+def check_ball_cap(m: int, n: int) -> None:
+    """Refuse a ball of radius n in F_m with more than ``DEFAULT_BALL_CAP`` words.
 
     The spheres are counted only until they pass the cap, so a huge radius
     is refused at once; the message gives the exact count unless the radius
@@ -186,10 +186,11 @@ def check_ball_cap(m: int, n: int, cap: int = DEFAULT_BALL_CAP) -> None:
     total = 0
     for j in range(n + 1):
         total += sphere_size(m, j)
-        if total > cap:
+        if total > DEFAULT_BALL_CAP:
             count = ball_size(m, n) if n - j <= 64 else f"more than {total}"
             raise BallSizeError(
-                f"ball of radius {n} in F_{m} has {count} words, above the cap of {cap}"
+                f"ball of radius {n} in F_{m} has {count} words, "
+                f"above the cap of {DEFAULT_BALL_CAP}"
             )
 
 
@@ -206,35 +207,25 @@ def _spheres(ctx: GroupContext, n: int) -> Iterator[list[Word]]:
         yield words
 
 
-def sphere(ctx: GroupContext, n: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
+def sphere(ctx: GroupContext, n: int) -> list[Word]:
     """All reduced words of length exactly n, in lexicographic order."""
     if n < 0:
         raise ValueError("sphere radius must be nonnegative")
-    if sphere_size(ctx.m, n) > cap:
+    if sphere_size(ctx.m, n) > DEFAULT_BALL_CAP:
         raise BallSizeError(
             f"sphere of radius {n} in F_{ctx.m} has {sphere_size(ctx.m, n)} words, "
-            f"above the cap of {cap}"
+            f"above the cap of {DEFAULT_BALL_CAP}"
         )
     *_, words = _spheres(ctx, n)
     return words
 
 
-def ball(ctx: GroupContext, n: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
+def ball(ctx: GroupContext, n: int) -> list[Word]:
     """All reduced words of length at most n, sorted by the lexicographic order."""
     if n < 0:
         raise ValueError("ball radius must be nonnegative")
-    check_ball_cap(ctx.m, n, cap)
+    check_ball_cap(ctx.m, n)
     return [w for words in _spheres(ctx, n) for w in words]
-
-
-def pair_table(index: Sequence[Word]) -> tuple[np.ndarray, list[Word]]:
-    """The N x N table of ids of index[i]^-1 index[j], and the distinct words by id.
-
-    Equal words share an id; ids count up in order of first appearance, row by row.
-    """
-    ids: dict[Word, int] = {}
-    flat = [ids.setdefault(mul(s_inv, t), len(ids)) for s_inv in map(inverse, index) for t in index]
-    return np.array(flat, dtype=np.intp).reshape(len(index), len(index)), list(ids)
 
 
 class WordIndex:

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from freepd.extend import extend_to_ball, extract_params, params_to_json, trace_
 from freepd.ncpoly import NcPolynomial, certificate_from_json
 from freepd.pdfun import pdfunction_from_json
 from freepd.quasimult import haagerup
-from freepd.words import E, GroupContext
+from freepd.words import E, GroupContext, inverse
 
 
 def assert_bad_input(code, err):
@@ -270,6 +271,29 @@ def test_factor_cli_infeasible_and_sample(tmp_path, capfd):
     ):
         code, _, err = run(capfd, *argv)
         assert_bad_input(code, err)
+
+
+def test_factor_linalg_failure_is_a_math_failure(tmp_path, capfd):
+    f = tmp_path / "p.json"
+    write_shifted_square(f)
+    failure = np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    with mock.patch("freepd.cli.factor_sos", side_effect=failure):
+        code, _, err = run(capfd, "factor", str(f), "-o", str(tmp_path / "c.json"))
+    assert code == 1
+    assert json.loads(err) == {"error": "math-failure", "detail": str(failure)}
+
+
+def test_factor_refuses_a_gram_problem_above_the_ball_cap(tmp_path, capfd):
+    # the coefficient classes of a degree-4 polynomial over F_3 span S_8
+    # (585,937 words): refused before the first iteration
+    w = (1, 2, 3, 1)
+    p = NcPolynomial(GroupContext(3), 1, {E: [[2.0]], w: [[0.5]], inverse(w): [[0.5]]})
+    f = tmp_path / "p.json"
+    jsonio.dump_path(f, p.to_json_dict())
+    with mock.patch("freepd.ncpoly._psd_clip", side_effect=AssertionError("the search started")):
+        code, _, err = run(capfd, "factor", str(f), "-o", str(tmp_path / "c.json"))
+    assert_bad_input(code, err)
+    assert "ball of radius 8 in F_3 has 585937 words" in json.loads(err)["detail"]
 
 
 def test_extend_flag_conflict(tmp_path, capfd):

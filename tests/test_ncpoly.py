@@ -22,7 +22,7 @@ from freepd.ncpoly import (
     split_squares,
 )
 from freepd.sampling import haar_unitary
-from freepd.words import E, GroupContext, ball, mul, pair_table
+from freepd.words import E, GroupContext, ball, inverse, mul
 
 CTX1 = GroupContext(1)
 CTX2 = GroupContext(2)
@@ -130,7 +130,7 @@ def test_jacobian_is_the_linearized_class_sum(group_degree, c, rank, seed):
     m, degree = group_degree
     ctx = GroupContext(m)
     rng = np.random.default_rng(seed)
-    prob = _GramProblem(random_poly(ctx, c, degree, rng), ball(ctx, degree))
+    prob = _GramProblem(random_poly(ctx, c, degree, rng))
     shape = (rank, prob.size)
     B = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     dB = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -183,15 +183,18 @@ def test_slot_map_sums_like_the_scatter(m, c, degree, seed):
     ctx = GroupContext(m)
     rng = np.random.default_rng(seed)
     p = random_poly(ctx, c, degree, rng)
+    prob = _GramProblem(p)
     index = ball(ctx, degree)
-    prob = _GramProblem(p, index)
+    assert prob.index == index
+    # slots numbered by the ball order of S_2d, from word arithmetic alone
+    class_words = ball(ctx, 2 * degree)
+    ids = {w: i for i, w in enumerate(class_words)}
     N = len(index)
-    table, class_words = pair_table(index)
     ar = np.arange(c)
     ii, jj = np.divmod(np.arange(N * N), N)
     rows = ii[:, None, None] * c + ar[:, None]
     cols = jj[:, None, None] * c + ar
-    cls = table.reshape(-1)
+    cls = np.array([ids[mul(inverse(s), t)] for s in index for t in index])
     counts = np.bincount(cls, minlength=len(class_words)).astype(float)
     targets = np.stack([p.coefficient(w) for w in class_words])
     G = rng.normal(size=(N * c, N * c)) + 1j * rng.normal(size=(N * c, N * c))
@@ -253,6 +256,25 @@ def test_factor_planted():
         assert isinstance(cert, SosCertificate)
         assert cert.residual <= 1e-6
         assert cert.iterations <= 20_000
+
+
+def test_polish_survives_a_failed_least_squares_solve():
+    # a least-squares solve that does not converge ends its polish attempt
+    # and never escapes factor_sos
+    q0 = random_poly(CTX2, 1, 1, np.random.default_rng(0))
+    p = q0.adjoint() * q0
+    calls = []
+
+    def no_convergence(*args, **kwargs):
+        calls.append(args[0].shape)
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    with mock.patch.object(np.linalg, "lstsq", no_convergence):
+        result = factor_sos(p, tol=1e-6, max_iter=1000)
+    assert calls
+    assert isinstance(result, (SosCertificate, InfeasibleReport))
+    if isinstance(result, SosCertificate):
+        assert result.residual <= 1e-6
 
 
 def test_factor_certificate_contract():

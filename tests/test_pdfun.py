@@ -85,7 +85,7 @@ def test_gram_examples():
     G = gram(phi, [E, (1,)])
     assert np.allclose(G.blocks, [[1.0, 0.3], [0.3, 1.0]])
     G = gram(phi, [E, (1,), (1, 1)])
-    assert np.allclose(G.block(0, 2), [[0.09]])
+    assert np.allclose(G.blocks[0, 2], 0.09)
     assert np.allclose(G.blocks, G.blocks.conj().T)
 
 
@@ -216,6 +216,19 @@ def test_toeplitz_roundtrip_exact():
     assert back == phi
     M2 = toeplitz_of(back)
     assert np.array_equal(M.blocks, M2.blocks)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(m=st.sampled_from([1, 2, 3]), k=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_toeplitz_roundtrip_on_a_permuted_index(m, k, seed):
+    ctx = GroupContext(m)
+    rng = np.random.default_rng(seed)
+    phi = random_pd_function(ctx, k, 2, rng)
+    M = toeplitz_of(phi)
+    perm = rng.permutation(len(M.index))
+    rows = (perm[:, None] * k + np.arange(k)).reshape(-1)
+    shuffled = GramMatrix(tuple(M.index[i] for i in perm), k, M.blocks[np.ix_(rows, rows)])
+    assert function_of_toeplitz(shuffled, ctx) == phi
 
 
 def test_toeplitz_identity_gives_delta():
