@@ -2,7 +2,7 @@
 
 A polynomial in unitary indeterminates is positive when every unitary
 substitution yields a PSD operator.  Positivity is certified by a PSD
-Gram matrix over the ball of the polynomial's degree, factored as
+Gram matrix over the ball of radius ceil(degree / 2), factored as
 G = B* B to give p = q* q; slicing the factor rows gives a sum of
 squares.  Random unitary sampling provides the negative direction.
 """

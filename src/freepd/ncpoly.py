@@ -4,9 +4,17 @@ sum-of-squares factorization.
 A polynomial sum_s A_s X(s) with c x c coefficient blocks is positive
 when every substitution of unitaries for the indeterminates yields a PSD
 operator.  Positivity is equivalent to the existence of a PSD Gram matrix
-G indexed by the length-d ball (d = deg p) whose entries sum, along each
-coefficient class {(s, t) : s^-1 t = x}, to A_x; factoring G = B* B then
-gives p = q* q with q = sum_s B_s X(s) of degree at most d.
+G indexed by S_h, h = ceil(d / 2) (d = deg p), whose entries sum, along
+each coefficient class {(s, t) : s^-1 t = x}, to A_x (to 0 for |x| > d);
+factoring G = B* B then gives p = q* q with q = sum_s B_s X(s) of degree
+at most h.  The index is exact, by duality with the extension theorem:
+
+- a functional nonnegative on every such Gram sum is a function on S_d
+  that extends to S_2h with a PSD Gram matrix over S_h;
+- S_h holds ``verify_pd``'s exact witness sets for S_d, so that function
+  is positive definite, and it extends to a positive definite function on
+  F_m, which is nonnegative on every positive p;
+- both cones are closed and have the same dual, so they are equal.
 
 :func:`factor_sos` searches for such a G with Dykstra's alternating
 projections between the PSD cone and the affine constraint set, polished
@@ -185,6 +193,10 @@ SAMPLE_DIM_CAP = 1024
 #: Matrix entries drawn and evaluated at once by positivity sampling.
 _SAMPLE_CHUNK = 1 << 18
 
+#: Cap on the float64 entries of one Gauss-Newton Jacobian (128 MiB); a
+#: polish rank whose Jacobian would pass it is skipped.
+JACOBIAN_ENTRY_CAP = 1 << 24
+
 
 def sample_positivity(
     p: NcPolynomial, trials: int = 200, d_max: int = 3, seed: int = 0
@@ -261,8 +273,9 @@ class InfeasibleReport:
 class _GramProblem:
     """Vectorized block-sum machinery for the Gram feasibility search.
 
-    The Gram ``index`` S_d (d = deg p) is the first ``ends[d]`` words of a
-    :class:`WordIndex` of S_2d, which numbers every difference s^-1 t of it.
+    The Gram ``index`` S_h, h = ceil(deg p / 2), is the first ``ends[h]``
+    words of a :class:`WordIndex` of S_2h, which numbers every difference
+    s^-1 t of it; the classes of the words of S_2h beyond deg p sum to 0.
     ``entry`` gives, for each entry of G, its slot ``(id * c + a) * c + b``
     among the flattened class sums: entry (a, b) of the block at the pair
     (s, t) of index words adds to entry (a, b) of the sum for the word id of
@@ -270,9 +283,9 @@ class _GramProblem:
     """
 
     def __init__(self, p: NcPolynomial):
-        c = p.c
-        words = WordIndex(p.ctx, 2 * p.degree)
-        N = words.ends[p.degree]
+        c, h = p.c, (p.degree + 1) // 2
+        words = WordIndex(p.ctx, 2 * h)
+        N = words.ends[h]
         self.index = words.words[:N]
         ar, ids = np.arange(c), np.arange(N)
         table = words.diffs(ids, ids)
@@ -406,9 +419,12 @@ def factor_sos(
     whose Gram matrix is PSD by construction and whose coefficient
     residual is at most ``tol``; exhaustion returns an
     :class:`InfeasibleReport` with the terminal gap, which is NOT a proof
-    of non-positivity.  The coefficient classes number S_2d (d = deg p),
-    so a polynomial whose S_2d passes the ball cap raises
-    :class:`~freepd.words.BallSizeError` before any iteration.
+    of non-positivity.  The Gram index is S_h, h = ceil(deg p / 2), and
+    its differences number S_2h, so a polynomial whose S_2h passes the
+    ball cap raises :class:`~freepd.words.BallSizeError` before any
+    iteration: F_2 from degree 11, F_3 and F_4 from degree 7, F_5 from
+    degree 5.  A polish rank whose Jacobian would hold more than
+    ``JACOBIAN_ENTRY_CAP`` entries is skipped.
     """
     if max_iter < 1:
         raise ValueError(f"sum-of-squares search needs max_iter >= 1, got {max_iter}")
@@ -419,8 +435,9 @@ def factor_sos(
     scale = max(1.0, float(np.abs(prob.targets).max(initial=0.0)))
     X = prob.affine_project(np.zeros((prob.size, prob.size), dtype=complex))
     correction = np.zeros_like(X)
-    ladder = sorted({min(c, prob.size), min(2 * c, prob.size), min(3 * c + 1, prob.size)})
-    polish_budget = 12
+    ladder = sorted({min(R, prob.size) for R in (c, 2 * c, 2 * c + 1, 3 * c + 1)})
+    ladder = [R for R in ladder if 4 * prob.targets.size * R * prob.size <= JACOBIAN_ENTRY_CAP]
+    polish_budget = 12 if ladder else 0
     Y = X
     affine_gap = np.inf
     psd_gap = np.inf

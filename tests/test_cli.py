@@ -284,9 +284,9 @@ def test_factor_linalg_failure_is_a_math_failure(tmp_path, capfd):
 
 
 def test_factor_refuses_a_gram_problem_above_the_ball_cap(tmp_path, capfd):
-    # the coefficient classes of a degree-4 polynomial over F_3 span S_8
-    # (585,937 words): refused before the first iteration
-    w = (1, 2, 3, 1)
+    # the Gram index of a degree-7 polynomial over F_3 is S_4, whose
+    # differences span S_8 (585,937 words): refused before the first iteration
+    w = (1, 2, 3, 1, 2, 3, 1)
     p = NcPolynomial(GroupContext(3), 1, {E: [[2.0]], w: [[0.5]], inverse(w): [[0.5]]})
     f = tmp_path / "p.json"
     jsonio.dump_path(f, p.to_json_dict())

@@ -176,6 +176,7 @@ def streaming_sample(p, trials, d_max, seed):
 
 
 @kernel_property
+@example(m=2, c=1, degree=3, seed=0)  # odd degree: the classes of length 4 sum to zero
 @given(**polynomials)
 def test_slot_map_sums_like_the_scatter(m, c, degree, seed):
     # the bincount over the slot map adds each class sum in the order of an
@@ -184,10 +185,11 @@ def test_slot_map_sums_like_the_scatter(m, c, degree, seed):
     rng = np.random.default_rng(seed)
     p = random_poly(ctx, c, degree, rng)
     prob = _GramProblem(p)
-    index = ball(ctx, degree)
+    h = (degree + 1) // 2
+    index = ball(ctx, h)
     assert prob.index == index
-    # slots numbered by the ball order of S_2d, from word arithmetic alone
-    class_words = ball(ctx, 2 * degree)
+    # slots numbered by the ball order of S_2h, from word arithmetic alone
+    class_words = ball(ctx, 2 * h)
     ids = {w: i for i, w in enumerate(class_words)}
     N = len(index)
     ar = np.arange(c)
@@ -260,8 +262,8 @@ def test_factor_planted():
 
 def test_polish_survives_a_failed_least_squares_solve():
     # a least-squares solve that does not converge ends its polish attempt
-    # and never escapes factor_sos
-    q0 = random_poly(CTX2, 1, 1, np.random.default_rng(0))
+    # and never escapes factor_sos; with c = 2 the search reaches the polish
+    q0 = random_poly(CTX2, 2, 1, np.random.default_rng(0))
     p = q0.adjoint() * q0
     calls = []
 
@@ -275,6 +277,95 @@ def test_polish_survives_a_failed_least_squares_solve():
     assert isinstance(result, (SosCertificate, InfeasibleReport))
     if isinstance(result, SosCertificate):
         assert result.residual <= 1e-6
+
+
+def test_polish_skips_a_jacobian_above_the_entry_cap():
+    # with no rung under the cap the polish never forms a Jacobian, and the
+    # projections run on to the iteration budget
+    q0 = random_poly(CTX2, 2, 1, np.random.default_rng(0))
+    p = q0.adjoint() * q0
+    calls = []
+    jacobian = _GramProblem.jacobian
+
+    def counted(prob, B):
+        calls.append(4 * prob.targets.size * B.shape[0] * prob.size)
+        return jacobian(prob, B)
+
+    with mock.patch.object(_GramProblem, "jacobian", counted):
+        factor_sos(p, tol=1e-6, max_iter=1000)
+        assert calls  # under the default cap this search polishes
+        cap = min(calls) - 1
+        calls.clear()
+        with mock.patch.object(ncpoly, "JACOBIAN_ENTRY_CAP", cap):
+            result = factor_sos(p, tol=1e-6, max_iter=1000)
+    assert not calls
+    assert isinstance(result, InfeasibleReport)
+    assert result.iterations == 1000
+
+
+def diameter_n_square(ctx, n, c, rng):
+    """q* q for a random q whose support has diameter n.
+
+    The support is g D for a word g of S_1 and a random part D of S_h
+    (n = 2h) or of S_(h-1) u a S_(h-1) (n = 2h - 1) that keeps two words
+    at distance n, so q* q has degree n.  Every support of diameter n is
+    such a translate; q* q does not depend on g beyond the order in which
+    its terms are summed.
+    """
+    h = (n + 1) // 2
+    a, b = (int(x) for x in rng.permutation([1, 2]) * rng.choice((-1, 1), size=2))
+    if n % 2 == 0:
+        base, ends = ball(ctx, h), [(a,) * h, (b,) * h]
+    else:
+        near = ball(ctx, h - 1)
+        base, ends = near + [mul((a,), w) for w in near], [(b,) * (h - 1), (a,) * h]
+    keep = {w for w in base if rng.random() < 0.5} | set(ends)
+    g = ball(ctx, 1)[rng.integers(0, 2 * ctx.m + 1)]
+    q = NcPolynomial(
+        ctx, c, {mul(g, w): rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)) for w in keep}
+    )
+    return q.adjoint() * q
+
+
+def assert_certified_on_half_ball(p, tol):
+    h = (p.degree + 1) // 2
+    cert = factor_sos(p, tol=tol)
+    assert isinstance(cert, SosCertificate), cert
+    assert cert.residual <= tol
+    assert cert.index == tuple(ball(p.ctx, h))
+    assert all(len(w) <= h for w in cert.factors)
+    qs = split_squares(cert)
+    total = qs[0].adjoint() * qs[0]
+    for Q in qs[1:]:
+        total = total + Q.adjoint() * Q
+    assert (p - total).max_coefficient_norm() <= tol
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@example(n=3, c=2, squares=2, seed=28074550)  # needs the polish rank 2c + 1
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    c=st.sampled_from([1, 1, 2]),
+    squares=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sums_of_planted_squares_certify_on_the_half_ball(n, c, squares, seed):
+    # a sum of squares q* q whose supports have diameter <= n has a Gram
+    # certificate over S_ceil(n/2), and the search finds it there
+    rng = np.random.default_rng(seed)
+    p = diameter_n_square(CTX2, n, c, rng)
+    for _ in range(squares - 1):
+        p = p + diameter_n_square(CTX2, n, c, rng)
+    assert p.degree == n
+    assert_certified_on_half_ball(p, 1e-6)
+
+
+def test_degree_four_planted_square_certifies():
+    rng = np.random.default_rng(3000)
+    q0 = random_poly(CTX2, 1, 2, rng)
+    p = q0.adjoint() * q0
+    assert p.degree == 4
+    assert_certified_on_half_ball(p, 1e-6)
 
 
 def test_factor_certificate_contract():
