@@ -116,8 +116,6 @@ def cmd_verify(args) -> int:
 
 def cmd_extend(args) -> int:
     phi = _load_pdfun(args.input)
-    if args.params and args.central:
-        raise CliInputError("--central and --params are mutually exclusive")
     if args.params:
         ctx, k, _, _, params = params_from_json(jsonio.load_path(args.params))
         if ctx != phi.ctx or k != phi.k:
@@ -224,9 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="extend a function to a larger ball")
     p.add_argument("input")
     p.add_argument("--to", type=int, required=True, help="target ball radius N")
-    p.add_argument("--central", action="store_true", help="zero parameter at every step (default)")
-    p.add_argument("--params", default=None, help="params.v1 file with an explicit sequence")
-    p.add_argument("--random-oracle", action="store_true", help="seeded random contractions")
+    oracle = p.add_mutually_exclusive_group()
+    oracle.add_argument("--central", action="store_true", help="zero parameters (default)")
+    oracle.add_argument("--params", default=None, help="params.v1 file with an explicit sequence")
+    oracle.add_argument("--random-oracle", action="store_true", help="seeded random contractions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--trace", default=None, help="write a trace.v1 audit file")

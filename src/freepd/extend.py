@@ -192,13 +192,16 @@ def extend_to_ball(
         raise ValueError(f"cannot extend from S_{n} down to S_{N}")
     ctx, k = phi.ctx, phi.k
     check_ball_cap(ctx.m, N)  # refuse before any work
-    store = {rep: phi.value(rep) for rep in phi.class_reps()}
-    values = WordValues(WordIndex(ctx, N), k, store)
+    index = WordIndex(ctx, N)
+    values = WordValues(index, k)
+    reps = np.flatnonzero(~phi.table.index.adj[:-1])  # S_n leads S_N, so the ids carry over
+    values.put(reps, phi.table.blocks[reps])
     hidden = np.zeros((k, k), dtype=complex)
     steps: list[ExtensionStep] = []
     for length in range(n + 1, N + 1):
         for cursor in classes_of_length(ctx, length):
-            values.put(cursor.rep, hidden)  # a placeholder: the window never reads it
+            i = index.ids[cursor.rep]
+            values.put(i, hidden)  # a placeholder: the window never reads it
             P, clique = _window(values, cursor)
             defects = analyze(P, tol)
             try:
@@ -208,10 +211,9 @@ def extend_to_ball(
             full = complete(P, gamma, tol)
             i_e, i_s = P.missing
             filled = full[i_e * k : (i_e + 1) * k, i_s * k : (i_s + 1) * k]
-            store[cursor.rep] = filled
-            values.put(cursor.rep, filled)
+            values.put(i, filled)
             steps.append(ExtensionStep(cursor, tuple(clique), defects.central, gamma, filled))
-    ext = PdFunction(ctx, k, BallDomain(N), store)
+    ext = PdFunction(ctx, k, BallDomain(N), values.by_class())
     return ext, ExtensionTrace(ctx=ctx, k=k, start_n=n, steps=tuple(steps))
 
 
@@ -228,7 +230,7 @@ def extract_params(
     N = phi.ball_radius()
     if not 0 <= n <= N:
         raise ValueError(f"base radius must lie in 0..{N}, got {n}")
-    values = phi.word_values()
+    values = phi.table
     out: dict[ClassCursor, np.ndarray] = {}
     for length in range(n + 1, N + 1):
         for cursor in classes_of_length(phi.ctx, length):
@@ -271,7 +273,7 @@ def check_max_orthogonal(
     N = phi.ball_radius()
     if N < n + 1:
         raise ValueError(f"needs values on S_{n + 1}, but the domain is S_{N}")
-    index = phi.word_values().index
+    index = phi.table.index
     worst = 0.0
     worst_class: ClassCursor | None = None
     for cursor in classes_of_length(phi.ctx, n + 1):

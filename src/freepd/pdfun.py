@@ -2,9 +2,9 @@
 
 A :class:`PdFunction` maps words to k x k complex blocks with Phi(e) = I
 and Phi(s^-1) = Phi(s)*, defined either on a ball S_n (all words of
-length <= n) or on an order ideal of the class order.  Values are stored
-once per class {s, s^-1}, at the lexicographically minimal representative;
-the adjoint is synthesized, so the symmetry holds by construction.
+length <= n) or on an order ideal of the class order.  Each class {s, s^-1}
+takes one value, stored at its representative with the adjoint at the
+inverse, so the symmetry holds by construction.
 
 Positive definiteness means every Gram matrix [Phi(s^-1 t)] over a finite
 set with pairwise differences inside the domain is PSD.  On a ball this
@@ -43,7 +43,6 @@ from .words import (
     inverse,
     mul,
     reduce_word,
-    sphere,
 )
 
 
@@ -71,6 +70,10 @@ class BallDomain:
     def class_reps(self, ctx: GroupContext) -> list[Word]:
         return [c.rep for c in classes_up_to(ctx, self.n)]
 
+    def mask(self, index: WordIndex) -> np.ndarray:
+        """Which ids of an index of radius at least n lie in the domain."""
+        return np.arange(index.size + 1) < index.ends[self.n]
+
     def describe(self) -> str:
         return f"ball({self.n})"
 
@@ -81,11 +84,17 @@ class IdealDomain:
 
     last: ClassCursor
 
+    @property
+    def n(self) -> int:
+        """The radius of the smallest ball holding the domain."""
+        return self.last.length
+
     def contains(self, word: Word, ctx: GroupContext) -> bool:
         return ctx.sort_key(class_rep(word, ctx)) <= self.last.key()
 
-    def class_reps(self, ctx: GroupContext) -> list[Word]:
-        return [c.rep for c in classes_up_to(ctx, self.last.length) if c <= self.last]
+    def mask(self, index: WordIndex) -> np.ndarray:
+        """Which ids of an index of radius at least n lie in the domain."""
+        return index.cls <= index.ids[self.last.rep]
 
     def describe(self) -> str:
         return f"ideal({self.last.rep})"
@@ -99,10 +108,12 @@ class PdFunction:
     adjointed into place, and conflicting duplicates are rejected).  A
     value at e different from the identity is normalized away when
     invertible, by conjugating every block with Phi(e)^(-1/2); a singular
-    Phi(e) is rejected.  Instances are immutable snapshots.
+    Phi(e) is rejected.  The values are held once, in ``table``: a read-only
+    :class:`WordValues` on the index of the domain's radius.  Instances are
+    immutable snapshots.
     """
 
-    __slots__ = ("ctx", "k", "domain", "_values", "_table")
+    __slots__ = ("ctx", "k", "domain", "table")
 
     def __init__(
         self,
@@ -113,87 +124,77 @@ class PdFunction:
     ):
         if k < 1:
             raise ValueError(f"block size must be positive, got {k}")
-        store: dict[Word, np.ndarray] = {}
+        index = WordIndex(ctx, domain.n)
+        table = WordValues(index, k)
+        outside = []  # the classes of words beyond the radius, named in the error below
         for word, block in values.items():
             w = reduce_word(word)
             B = as_matrix(block)
             if B.shape != (k, k):
-                raise ValueError(
-                    f"value at {w} has shape {B.shape}, expected {(k, k)}"
-                )
-            rep = class_rep(w, ctx)
-            if w != rep:
-                B = B.conj().T
-            if rep in store and not np.allclose(
-                store[rep], B, rtol=0.0, atol=1e-12 * max(1.0, np.abs(B).max())
+                raise ValueError(f"value at {w} has shape {B.shape}, expected {(k, k)}")
+            i = index.ids.get(w)
+            if i is None:
+                outside.append(class_rep(w, ctx))
+                continue
+            c = index.cls[i]
+            B = B.conj().T if index.adj[i] else B
+            if table.known[c] and not np.allclose(
+                table.blocks[c], B, rtol=0.0, atol=1e-12 * max(1.0, np.abs(B).max())
             ):
-                raise ValueError(f"conflicting values for the class of {rep}")
-            store[rep] = B
-        if E not in store:
+                raise ValueError(f"conflicting values for the class of {index.words[c]}")
+            table.blocks[c], table.known[c] = B, True
+        if not table.known[0]:  # id 0 is e
             raise ValueError("a value at the unit word is required")
-        unit = store[E]
+        reps = np.flatnonzero(table.known)
+        unit = table.blocks[0]
         if not np.allclose(unit, np.eye(k), rtol=0.0, atol=1e-12):
-            store = _normalize_unit(store, unit, k)
-        store[E] = np.eye(k, dtype=complex)
-        expected = domain.class_reps(ctx)
-        missing = [rep for rep in expected if rep not in store]
-        if missing:
+            table.blocks[reps] = _normalize_unit(table.blocks[reps], unit)
+        table.blocks[0] = np.eye(k)
+        mask = domain.mask(index)
+        missing = np.flatnonzero(mask & ~table.known & ~index.adj)
+        if missing.size:
             raise ValueError(
-                f"domain {domain.describe()} needs a value at {missing[0]} "
-                f"({len(missing)} classes missing)"
+                f"domain {domain.describe()} needs a value at {index.words[missing[0]]} "
+                f"({missing.size} classes missing)"
             )
-        extra = set(store) - set(expected)
-        if extra:
-            raise ValueError(
-                f"value at {sorted(extra, key=ctx.sort_key)[0]} lies outside "
-                f"domain {domain.describe()}"
-            )
-        for block in store.values():
-            block.flags.writeable = False
+        extra = np.flatnonzero(table.known & ~mask)
+        if extra.size or outside:
+            first = index.words[extra[0]] if extra.size else min(outside, key=ctx.sort_key)
+            raise ValueError(f"value at {first} lies outside domain {domain.describe()}")
+        table.put(reps, table.blocks[reps])
+        table.blocks.flags.writeable = table.known.flags.writeable = False
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_values", store)
-        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "table", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("PdFunction is immutable")
 
     def value(self, word: Word) -> np.ndarray:
-        """Phi at a word; the adjoint class member is synthesized."""
+        """Phi at a word, as a read-only view into the table."""
         w = reduce_word(word)
-        rep = class_rep(w, self.ctx)
-        try:
-            block = self._values[rep]
-        except KeyError:
-            raise MissingValueError(
-                f"no value at {w}: outside domain {self.domain.describe()}"
-            ) from None
-        return block if w == rep else block.conj().T
-
-    def word_values(self) -> "WordValues":
-        """The values on a word index of the domain's radius, built on first use and kept."""
-        if self._table is None:
-            index = WordIndex(self.ctx, max(map(len, self._values)))
-            object.__setattr__(self, "_table", WordValues(index, self.k, self._values))
-        return self._table
+        i = self.table.index.ids.get(w, self.table.index.size)
+        if not self.table.known[i]:
+            raise MissingValueError(f"no value at {w}: outside domain {self.domain.describe()}")
+        return self.table.blocks[i]
 
     def class_reps(self) -> list[Word]:
-        return sorted(self._values, key=self.ctx.sort_key)
+        return list(self.table.by_class())
 
     def with_class_value(self, cursor: ClassCursor, block: np.ndarray) -> "PdFunction":
         """New snapshot extended by one class; the domain grows to its ideal."""
         if cursor.ctx != self.ctx:
             raise ValueError("cursor context does not match the function")
-        values = dict(self._values)
+        values = self.table.by_class()
         values[cursor.rep] = as_matrix(block)
         return PdFunction(self.ctx, self.k, IdealDomain(cursor), values)
 
     def restricted_to_ball(self, n: int) -> "PdFunction":
         """Restriction to S_n (which must lie inside the current domain)."""
-        reps = BallDomain(n).class_reps(self.ctx)
+        given = self.table.by_class()
         try:
-            values = {rep: self._values[rep] for rep in reps}
+            values = {rep: given[rep] for rep in BallDomain(n).class_reps(self.ctx)}
         except KeyError as exc:
             raise DomainError(f"domain does not contain S_{n}: missing {exc}") from None
         return PdFunction(self.ctx, self.k, BallDomain(n), values)
@@ -206,12 +207,12 @@ class PdFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PdFunction):
             return NotImplemented
+        # equal domains give equal indexes, and unknown blocks are zero in both
         return (
             self.ctx == other.ctx
             and self.k == other.k
             and self.domain == other.domain
-            and self._values.keys() == other._values.keys()
-            and all(np.array_equal(self._values[w], other._values[w]) for w in self._values)
+            and np.array_equal(self.table.blocks, other.table.blocks)
         )
 
     def to_json_dict(self) -> dict:
@@ -225,18 +226,13 @@ class PdFunction:
             "letter_order": list(self.ctx.letter_order),
             "domain": {"type": "ball", "n": self.domain.n},
             "entries": [
-                {
-                    "word": jsonio.word_to_json(rep),
-                    "value": jsonio.matrix_to_json(self._values[rep]),
-                }
-                for rep in self.class_reps()
+                {"word": jsonio.word_to_json(rep), "value": jsonio.matrix_to_json(block)}
+                for rep, block in self.table.by_class().items()
             ],
         }
 
 
-def _normalize_unit(
-    store: dict[Word, np.ndarray], unit: np.ndarray, k: int
-) -> dict[Word, np.ndarray]:
+def _normalize_unit(blocks: np.ndarray, unit: np.ndarray) -> np.ndarray:
     w, V = eig_hermitian(unit)
     if w[-1] <= 1e-12 * max(1.0, w[0]):
         raise NotPsdError(
@@ -244,7 +240,7 @@ def _normalize_unit(
             "cannot normalize to the identity"
         )
     inv_sqrt = (V / np.sqrt(w)) @ V.conj().T
-    return {word: inv_sqrt @ block @ inv_sqrt for word, block in store.items()}
+    return inv_sqrt @ blocks @ inv_sqrt
 
 
 def pdfunction_from_json(doc: dict) -> PdFunction:
@@ -252,7 +248,7 @@ def pdfunction_from_json(doc: dict) -> PdFunction:
     ctx, k = jsonio.read_header(doc, "pdfun.v1")
     m = ctx.m
     dom = jsonio.require(doc, "domain")
-    if not (isinstance(dom, dict) and dom.get("type") == "ball" and isinstance(dom.get("n"), int)):
+    if not (isinstance(dom, dict) and dom.get("type") == "ball" and type(dom.get("n")) is int):
         raise jsonio.SchemaError(f"unsupported domain {dom!r}")
     values: dict[Word, np.ndarray] = {}
     for entry in jsonio.require(doc, "entries", list):
@@ -276,30 +272,31 @@ class GramMatrix:
 class WordValues:
     """Blocks at the words of a :class:`WordIndex`, with a mask of the known ones.
 
-    ``store`` gives one value per class, at its representative.  Both members
-    of a class are written together, the adjoint formed once at the inverse,
-    so a Gram window is one gather from ``blocks``.  The sentinel id is never
-    known.
+    Both members of a class are written together, the adjoint formed once at
+    the inverse, so a Gram window is one gather from ``blocks``.  Nothing is
+    known at first, and the sentinel id never is.
     """
 
-    def __init__(self, index: WordIndex, k: int, store: Mapping[Word, np.ndarray]):
+    def __init__(self, index: WordIndex, k: int):
         self.index = index
         self.blocks = np.zeros((index.size + 1, k, k), dtype=complex)
         self.known = np.zeros(index.size + 1, dtype=bool)
-        ids = np.array([index.ids[w] for w in store], dtype=np.intp)
-        given = np.array(list(store.values()), dtype=complex).reshape(-1, k, k)
-        # the adjoints first, so that e, its own inverse, keeps its value as given
-        self.blocks[index.inv[ids]] = given.conj().transpose(0, 2, 1)
-        self.blocks[ids] = given
-        self.known[ids] = self.known[index.inv[ids]] = True
 
-    def put(self, rep: Word, block: np.ndarray):
-        """Set the value at a class representative, and its adjoint at the inverse."""
-        i = self.index.ids[rep]
-        j = self.index.inv[i]
-        self.blocks[j] = block.conj().T
-        self.blocks[i] = block
-        self.known[i] = self.known[j] = True
+    def put(self, ids, blocks: np.ndarray):
+        """Set the values at class representatives, and their adjoints at the inverses.
+
+        ``ids`` is one id with one block, or an array of ids with a stack of blocks.
+        """
+        inv = self.index.inv[ids]
+        # the adjoints first, so that e, its own inverse, keeps its value as given
+        self.blocks[inv] = blocks.conj().swapaxes(-1, -2)
+        self.blocks[ids] = blocks
+        self.known[ids] = self.known[inv] = True
+
+    def by_class(self) -> dict[Word, np.ndarray]:
+        """The known values at class representatives, in lexicographic order."""
+        reps = np.flatnonzero(self.known & ~self.index.adj)
+        return {self.index.words[i]: self.blocks[i] for i in reps}
 
     def gram_blocks(self, ids: Sequence[int], words: Sequence[Word]) -> np.ndarray:
         """The blocked matrix [Phi(s^-1 t)] over the words with these ids.
@@ -329,7 +326,7 @@ def gram(phi: PdFunction, S: Sequence[Word]) -> GramMatrix:
     brings the set into the ball of phi's table when its differences lie there.
     """
     words = [reduce_word(s) for s in S]
-    values = phi.word_values()
+    values = phi.table
     index = values.index
     moved = [mul(inverse(words[0]), w) for w in words] if words and words[0] != E else words
     ids = [index.ids.get(w, index.size) for w in moved]
@@ -467,15 +464,13 @@ def radialize(phi: PdFunction) -> PdFunction:
     to this function).
     """
     n = phi.ball_radius()
-    ctx = phi.ctx
+    bounds = [0, *phi.table.index.ends]  # the ids of sphere j run from bounds[j] to bounds[j + 1]
     means: list[np.ndarray] = []
     for j in range(n + 1):
-        blocks = np.stack([phi.value(w) for w in sphere(ctx, j)])
+        blocks = phi.table.blocks[bounds[j] : bounds[j + 1]]
         # centered mean: exact on radial input, better conditioned in general;
         # symmetrized so the stored block is Hermitian to the last bit
         mean = blocks[0] + np.mean(blocks - blocks[0], axis=0)
         means.append((mean + mean.conj().T) / 2.0)
-    values = {
-        rep: means[len(rep)] for rep in BallDomain(n).class_reps(ctx)
-    }
-    return PdFunction(ctx, phi.k, BallDomain(n), values)
+    values = {rep: means[len(rep)] for rep in phi.class_reps()}
+    return PdFunction(phi.ctx, phi.k, BallDomain(n), values)

@@ -239,7 +239,8 @@ class WordIndex:
     - ``times``: (size + 1) x (2m + 1) right multiplication, column c for the
       letter ``letter_order[c]`` and the last column for e; a product that
       leaves S_R, and every product of the sentinel, is the sentinel;
-    - ``spelled``: each word's letters as columns, padded with the e column;
+    - ``first``, ``suffix``: the column of each word's first letter and the id
+      of the rest, so that w = first(w) suffix(w); e has the e column and itself;
     - ``cls``, ``adj``: the id of the class representative, and whether the
       word is the other member.  Ids follow the lexicographic order, so the
       representative is the member with the smaller id.
@@ -256,7 +257,9 @@ class WordIndex:
         flip = np.array([col[-x] for x in ctx.letter_order] + [unit])  # the column of x^-1
         self.times = np.full((n + 1, unit + 1), n, dtype=np.intp)
         self.times[:n, unit] = np.arange(n)
-        self.spelled = np.full((n, R), unit, dtype=np.intp)
+        self.first = np.full(n + 1, unit, dtype=np.intp)
+        self.suffix = np.arange(n + 1)
+        self.inv = np.arange(n + 1)  # e and the sentinel are their own inverses
         # S_R in ball order: sphere L + 1 lists, for each w of sphere L in turn,
         # the w x for the letters x != last(w)^-1 in letter order
         parents, last, start = np.zeros(1, dtype=np.intp), np.array([unit]), 1
@@ -267,14 +270,13 @@ class WordIndex:
             children = start + np.arange(cols.size).reshape(cols.shape)
             self.times[parents[:, None], cols] = children
             self.times[children, flip[cols]] = parents[:, None]
-            self.spelled[children] = self.spelled[parents][:, None]
-            self.spelled[children, L] = cols
+            # w x = first(w) (suffix(w) x) and x = x e; then (x v)^-1 = v^-1 x^-1
+            self.first[children] = self.first[parents][:, None] if L else cols
+            self.suffix[children] = self.times[self.suffix[parents][:, None], cols] if L else 0
+            v = self.suffix[children]
+            self.inv[children] = self.times[self.inv[v], flip[self.first[children]]]
             parents, last, start = children.ravel(), cols.ravel(), start + cols.size
             self.ends.append(start)
-        inv = np.zeros(n, dtype=np.intp)
-        for c in self.spelled.T[::-1]:  # e times the letters of w^-1
-            inv = self.times[inv, flip[c]]
-        self.inv = np.append(inv, n)
         ids = np.arange(n + 1)
         self.cls = np.minimum(ids, self.inv)
         self.adj = self.cls != ids
@@ -287,12 +289,11 @@ class WordIndex:
         so a product ends outside S_R exactly when it leaves it on the way.
         """
         right = np.asarray(right, dtype=np.intp)
-        out = self.inv[left][:, None]
+        out = np.repeat(self.inv[left][:, None], right.size, axis=1)
         longest = len(self.words[right.max()]) if right.size else 0  # ids follow length
-        if longest == 0:
-            return np.repeat(out, right.size, axis=1)
-        for c in self.spelled[right, :longest].T:
-            out = self.times[out, c]
+        for _ in range(longest):  # e's first letter is the e column, so short words idle
+            out = self.times[out, self.first[right]]
+            right = self.suffix[right]
         return out
 
 

@@ -299,10 +299,16 @@ def test_factor_refuses_a_gram_problem_above_the_ball_cap(tmp_path, capfd):
 def test_extend_flag_conflict(tmp_path, capfd):
     h = tmp_path / "h.json"
     run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
-    code, _, err = run(
-        capfd, "extend", str(h), "--to", "2", "--central", "--params", str(h), "-o", str(tmp_path / "x.json")
-    )
-    assert code == 2
+    out = tmp_path / "x.json"
+    for flags in (
+        ["--central", "--params", str(h)],
+        ["--central", "--random-oracle", "--seed", "1"],
+        ["--params", str(h), "--random-oracle"],
+    ):
+        code, _, err = run(capfd, "extend", str(h), "--to", "2", *flags, "-o", str(out))
+        assert_bad_input(code, err)
+        assert "not allowed with" in json.loads(err)["detail"]
+        assert not out.exists()
 
 
 def test_custom_letter_order(tmp_path, capfd):

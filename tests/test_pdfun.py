@@ -9,6 +9,7 @@ from freepd.pdfun import (
     BallDomain,
     DomainError,
     GramMatrix,
+    IdealDomain,
     MissingValueError,
     PdFunction,
     function_of_toeplitz,
@@ -25,11 +26,13 @@ from freepd.words import (
     E,
     GroupContext,
     ball,
+    class_rep,
     classes_of_length,
     default_letter_order,
     inverse,
     mul,
     reduce_word,
+    sphere,
 )
 
 CTX2 = GroupContext(2)
@@ -70,6 +73,72 @@ def test_adjoint_symmetry_synthesized():
     values = {E: np.eye(2), (1,): B}
     phi = PdFunction(GroupContext(1), 2, BallDomain(1), values)
     assert np.array_equal(phi.value((-1,)), B.conj().T)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_values_are_filed_once_per_class(data):
+    m = data.draw(st.sampled_from((1, 2, 3)))
+    ctx = GroupContext(m, data.draw(st.permutations(default_letter_order(m))))
+    k, R = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    member = st.sampled_from((0, 1, 2))  # given at the representative, the inverse, or both
+
+    def random_block():
+        return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+
+    def give(values, rep, B):
+        how = data.draw(member)
+        if how != 1:
+            values[rep] = B
+        if how != 0:
+            values[inverse(rep)] = B.conj().T
+
+    expected = {rep: np.eye(k) if rep == E else random_block() for rep in BallDomain(R).class_reps(ctx)}
+    values: dict = {}
+    for rep, B in expected.items():
+        give(values, rep, B)
+    phi = PdFunction(ctx, k, BallDomain(R), values)
+    assert phi == pdfunction_from_json(phi.to_json_dict())
+    domain, words = phi.domain, ball(ctx, R)
+    if data.draw(st.booleans()):  # an order-ideal domain, one class past S_R
+        cursor = next(classes_of_length(ctx, R + 1))
+        expected[cursor.rep] = random_block()
+        phi = phi.with_class_value(cursor, expected[cursor.rep])
+        domain, words = IdealDomain(cursor), words + list(cursor.members())
+        with pytest.raises(DomainError):
+            phi.to_json_dict()
+    assert phi.domain == domain
+    for w in words:
+        rep = class_rep(w, ctx)
+        assert np.array_equal(phi.value(w), expected[rep] if w == rep else expected[rep].conj().T)
+    reps = phi.class_reps()
+    assert reps == sorted(expected, key=ctx.sort_key)
+    assert all(ctx.sort_key(a) < ctx.sort_key(b) for a, b in zip(reps, reps[1:]))
+    # every class is needed, and nothing outside the domain is taken
+    if len(expected) > 1:
+        dropped = data.draw(st.sampled_from([rep for rep in expected if rep != E]))
+        values = {}
+        for rep, B in expected.items():
+            if rep != dropped:
+                give(values, rep, B)
+        with pytest.raises(ValueError) as exc:
+            PdFunction(ctx, k, domain, values)
+        assert exc.value.args[0] == (
+            f"domain {domain.describe()} needs a value at {dropped} (1 classes missing)"
+        )
+    if isinstance(domain, BallDomain):
+        outside = data.draw(st.sampled_from(sphere(ctx, R + 1)))
+    else:
+        outside = data.draw(st.sampled_from(domain.last.successor().members()))
+    values = {outside: random_block()}
+    for rep, B in expected.items():
+        give(values, rep, B)
+    with pytest.raises(ValueError) as exc:
+        PdFunction(ctx, k, domain, values)
+    assert exc.value.args[0] == (
+        f"value at {class_rep(outside, ctx)} lies outside domain {domain.describe()}"
+    )
 
 
 def test_values_are_immutable():
@@ -323,6 +392,11 @@ def test_json_schema_errors():
     doc["entries"][0]["word"] = [99]
     with pytest.raises(jsonio.SchemaError):
         pdfunction_from_json(doc)
+    doc = geometric(CTX2, 0.5, 1).to_json_dict()
+    for n in (True, 1.0, "1"):  # the radius is an int, as m and k are
+        doc["domain"]["n"] = n
+        with pytest.raises(jsonio.SchemaError, match="unsupported domain"):
+            pdfunction_from_json(doc)
 
 
 def test_restriction():

@@ -144,7 +144,26 @@ def test_word_index_tables_follow_the_group_law(data):
             wx = mul(w, (x,))
             assert index.times[i, c] == (index.ids[wx] if len(wx) <= R else index.size)
         assert index.times[i, -1] == i
+        spelled, j = (), i
+        for _ in w:  # w = first(w) suffix(w), peeled one letter at a time down to e
+            spelled, j = spelled + (ctx.letter_order[index.first[j]],), index.suffix[j]
+        assert spelled == w and j == index.ids[E]
+    assert index.first[index.ids[E]] == 2 * ctx.m  # e's first letter is the e column
+    assert index.suffix[index.ids[E]] == index.ids[E]
     assert (index.times[index.size] == index.size).all()
+
+
+def test_word_index_tables_stay_linear_in_the_ball():
+    # on F_1 the ball S_R has 2R + 1 words of length up to R: no table may grow like R^2
+    index = WordIndex(GroupContext(1), 2000)
+    tables = {
+        name: table
+        for name, table in vars(index).items()
+        if hasattr(table, "dtype") and table.dtype.kind == "i" and name != "times"
+    }
+    assert {"inv", "first", "suffix", "cls"} <= set(tables)
+    for name, table in tables.items():
+        assert table.size <= index.size + 1, name
 
 
 def test_letter_order_validation():
