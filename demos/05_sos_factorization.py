@@ -4,7 +4,9 @@ A polynomial in unitary indeterminates is positive when every unitary
 substitution yields a PSD operator.  Positivity is certified by a PSD
 Gram matrix over the ball of radius ceil(degree / 2), factored as
 G = B* B to give p = q* q; slicing the factor rows gives a sum of
-squares.  Random unitary sampling provides the negative direction.
+squares.  When no certificate exists, the search stops on a positive
+definite function that pairs negatively with p, which disproves
+positivity; random unitary sampling gives independent negative evidence.
 """
 
 import numpy as np
@@ -49,9 +51,10 @@ for Q in qs[1:]:
     total = total + Q.adjoint() * Q
 print("  re-summed squares match p:", f"{(p2 - total).max_coefficient_norm():.2e}")
 
-print("\nan indefinite polynomial is refused and sampled negative:")
+print("\nan indefinite polynomial is refused by a separating positive definite function:")
 bad = NcPolynomial(ctx, 1, {(1,): [[1.0]], (-1,): [[1.0]]})
 result = factor_sos(bad, tol=1e-8, max_iter=1500)
-assert isinstance(result, InfeasibleReport)
-print("  terminal gap:", f"{result.gap:.3f}",
+assert isinstance(result, InfeasibleReport) and result.witness is not None
+print("  stopped at iteration:", result.iterations,
+      "| <p, phi'>:", f"{result.separation:.3f}",
       "| sampled min eigenvalue:", f"{sample_positivity(bad, 200, 3, seed=1):.3f}")

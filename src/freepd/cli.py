@@ -181,14 +181,24 @@ def cmd_factor(args) -> int:
     p = ncpolynomial_from_json(jsonio.load_path(args.input))
     result = factor_sos(p, tol=_tol(args, 1e-8), max_iter=args.max_iter)
     if isinstance(result, InfeasibleReport):
+        if result.witness is not None:
+            detail = (
+                "a positive definite function pairs negatively with the polynomial, "
+                "beyond its rounding bound: it is not positive"
+            )
+        else:
+            detail = (
+                "no sum-of-squares certificate or separating function found within the "
+                "iteration budget; this is not a disproof of positivity"
+            )
         _diagnostic(
             "infeasible",
-            "no sum-of-squares certificate found within the iteration budget; "
-            "this is not a disproof of positivity",
+            detail,
             gap=result.gap,
             affine_residual=result.affine_residual,
             psd_residual=result.psd_residual,
             iterations=result.iterations,
+            separation=result.separation,
         )
         return 1
     jsonio.dump_path(args.output, certificate_to_json(result))

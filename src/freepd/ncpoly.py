@@ -21,8 +21,14 @@ projections between the PSD cone and the affine constraint set, polished
 by a Gauss-Newton solve on a low-rank Gram factor seeded from the Dykstra
 iterate (alternating projections alone crawl when the feasible set
 touches the boundary of the cone, which is the generic situation here).
-A returned certificate carries its own coefficient residual; a failure
-report carries the terminal gap and is not a disproof of positivity.
+A returned certificate carries its own coefficient residual.  At every
+25-iteration gap check the search also reads a separating function: the
+difference between the PSD iterate and its affine projection is the Gram
+matrix of a function on S_2h, and shifted at e to be PSD (with a margin
+for the eigenvalue rounding) it is positive definite; when it pairs with
+p below minus the rounding bound of that sum, p is not positive, and the
+:class:`InfeasibleReport` carries the witness.  A report that exhausted
+the iteration budget carries none and is not a disproof of positivity.
 """
 
 from __future__ import annotations
@@ -258,16 +264,22 @@ class SosCertificate:
 
 @dataclass(frozen=True)
 class InfeasibleReport:
-    """No certificate found: terminal distance between the cone and the affine set.
+    """No certificate found: distance between the cone and the affine set at the stop.
 
-    Not a disproof of positivity; the search is a heuristic feasibility
-    solve.  Pair with :func:`sample_positivity` for negative evidence.
+    With a ``witness`` it is a disproof of positivity: ``witness`` is the PSD
+    Gram matrix [phi'(s^-1 t)] over the Gram index of a function phi' on
+    S_2h, and ``separation`` = <p, phi'> is negative beyond its rounding
+    bound.  When the iteration budget ran out both are None, and the report
+    is not a disproof; pair it with :func:`sample_positivity` for negative
+    evidence.
     """
 
     gap: float
     affine_residual: float
     psd_residual: float
     iterations: int
+    witness: np.ndarray | None = None
+    separation: float | None = None
 
 
 class _GramProblem:
@@ -296,6 +308,7 @@ class _GramProblem:
             targets[words.ids[w]] = A
         self.targets = targets.reshape(-1)
         self.counts = np.bincount(self.entry.reshape(-1), minlength=self.targets.size).astype(float)
+        self.inv = words.inv[: words.size]
         self.c = c
         self.size = N * c
 
@@ -310,6 +323,29 @@ class _GramProblem:
     def affine_project(self, G: np.ndarray) -> np.ndarray:
         out = G + ((self.targets - self.class_sums(G)) / self.counts)[self.entry]
         return (out + out.conj().T) / 2.0
+
+    def separating_witness(self, Y: np.ndarray) -> tuple[np.ndarray, float] | None:
+        """A PSD Gram matrix of a function phi' on S_2h with <p, phi'> < 0, or None.
+
+        ``affine_project(Y)`` subtracts one correction per slot, so Y minus it
+        is the Gram matrix D of phi = (class sums of Y - targets) / counts,
+        taken Hermitian.  Adding tau = max(0, -lambda_min(D)) plus the margin
+        size * eps * ||D|| (the eigenvalue rounding) at e makes it PSD; the
+        pairing <p, phi'> = Re sum conj(phi') targets must then lie below
+        -(slots + 2) * eps * sum |conj(phi') targets|, its rounding bound.
+        """
+        c, eps = self.c, np.finfo(float).eps
+        phi = ((self.class_sums(Y) - self.targets) / self.counts).reshape(-1, c, c)
+        phi = (phi + phi[self.inv].conj().swapaxes(1, 2)) / 2.0
+        w = np.linalg.eigvalsh(phi.reshape(-1)[self.entry])
+        norm = max(-w[0], w[-1], 0.0)
+        phi[0] += (max(0.0, -w[0]) + self.size * eps * norm) * np.eye(c)  # id 0 is e
+        flat = phi.reshape(-1)
+        terms = flat.conj() * self.targets
+        separation = float(terms.sum().real)
+        if separation >= -(terms.size + 2) * eps * float(np.abs(terms).sum()):
+            return None
+        return flat[self.entry], separation
 
     def affine_gap(self, G: np.ndarray) -> float:
         diff = (self.class_sums(G) - self.targets).reshape(-1, self.c, self.c)
@@ -417,9 +453,12 @@ def factor_sos(
     iterations a Gauss-Newton solve is attempted on a low-rank factor
     seeded from the current PSD iterate.  Success returns a certificate
     whose Gram matrix is PSD by construction and whose coefficient
-    residual is at most ``tol``; exhaustion returns an
-    :class:`InfeasibleReport` with the terminal gap, which is NOT a proof
-    of non-positivity.  The Gram index is S_h, h = ceil(deg p / 2), and
+    residual is at most ``tol``.  Every 25 iterations, and at the last, the
+    search reads the separating witness of
+    :meth:`_GramProblem.separating_witness` and, when it proves p not
+    positive, returns an :class:`InfeasibleReport` carrying it at once;
+    exhaustion returns one with no witness, which is NOT a proof of
+    non-positivity.  The Gram index is S_h, h = ceil(deg p / 2), and
     its differences number S_2h, so a polynomial whose S_2h passes the
     ball cap raises :class:`~freepd.words.BallSizeError` before any
     iteration: F_2 from degree 11, F_3 and F_4 from degree 7, F_5 from
@@ -438,15 +477,13 @@ def factor_sos(
     ladder = sorted({min(R, prob.size) for R in (c, 2 * c, 2 * c + 1, 3 * c + 1)})
     ladder = [R for R in ladder if 4 * prob.targets.size * R * prob.size <= JACOBIAN_ENTRY_CAP]
     polish_budget = 12 if ladder else 0
-    Y = X
-    affine_gap = np.inf
-    psd_gap = np.inf
     for it in range(1, max_iter + 1):
         Z = X + correction
         Y = _psd_clip(Z)
         correction = Z - Y
         X = prob.affine_project(Y)
         last = it == max_iter
+        # the last iteration is a gap check, so the report below reads this one's figures
         if it % 25 == 0 or last:
             affine_gap = prob.affine_gap(Y)
             psd_gap = max(0.0, -float(np.linalg.eigvalsh(X).min()))
@@ -454,6 +491,9 @@ def factor_sos(
                 B = _top_rank_factor(Y)
                 if prob.residual_of_factor(B) <= tol:
                     return _certificate(prob, p.ctx.m, B, it)
+            found = prob.separating_witness(Y)
+            if found is not None:
+                break
         # every polish iteration is also a gap check, so affine_gap belongs to this Y
         if (it % 200 == 0 or last) and polish_budget > 0:
             if affine_gap <= max(100 * tol, 1e-2 * scale):
@@ -464,11 +504,14 @@ def factor_sos(
                     B, res = _gauss_newton_polish(prob, seed, tol / 10)
                     if res <= tol / 10:
                         return _certificate(prob, p.ctx.m, B, it)
+    witness, separation = found or (None, None)
     return InfeasibleReport(
         gap=float(np.linalg.norm(Y - X)),
         affine_residual=affine_gap,
         psd_residual=psd_gap,
-        iterations=max_iter,
+        iterations=it,
+        witness=witness,
+        separation=separation,
     )
 
 

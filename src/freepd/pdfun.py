@@ -39,7 +39,6 @@ from .words import (
     WordIndex,
     ball,
     class_rep,
-    classes_up_to,
     inverse,
     mul,
     reduce_word,
@@ -68,7 +67,9 @@ class BallDomain:
         return len(word) <= self.n
 
     def class_reps(self, ctx: GroupContext) -> list[Word]:
-        return [c.rep for c in classes_up_to(ctx, self.n)]
+        """The class representatives of S_n in lexicographic order: the ``~adj`` ids of its index."""
+        index = WordIndex(ctx, self.n)
+        return [index.words[i] for i in np.flatnonzero(~index.adj[: index.size])]
 
     def mask(self, index: WordIndex) -> np.ndarray:
         """Which ids of an index of radius at least n lie in the domain."""

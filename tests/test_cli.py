@@ -14,7 +14,7 @@ from freepd import jsonio
 from freepd.cli import main
 from freepd.extend import extend_to_ball, extract_params, params_to_json, trace_from_json
 from freepd.ncpoly import NcPolynomial, certificate_from_json
-from freepd.pdfun import pdfunction_from_json
+from freepd.pdfun import gram, pdfunction_from_json
 from freepd.quasimult import haagerup
 from freepd.words import E, GroupContext, inverse
 
@@ -231,6 +231,40 @@ def test_check_ortho_on_non_positive_input(tmp_path, capfd):
     assert diag["worst_class"] == [1]
 
 
+def test_extend_refuses_a_non_positive_input_at_its_first_step(tmp_path, capfd):
+    # a real F_2 function on S_2 whose Gram matrix over S_1 has least
+    # eigenvalue -0.196: the sequential engine refuses it at its first step,
+    # and a batched central extension must refuse it too rather than extend it
+    values = {
+        (): 1.0,
+        (1,): 0.5639,
+        (2,): 0.4583,
+        (1, 1): 0.4804,
+        (1, 2): 0.599,
+        (1, -2): -0.0265,
+        (-1, 2): 0.139,
+        (-1, -2): 0.9721,
+        (2, 2): 0.3399,
+    }
+    doc = {
+        "schema": "pdfun.v1",
+        "m": 2,
+        "k": 1,
+        "letter_order": [1, -1, 2, -2],
+        "domain": {"type": "ball", "n": 2},
+        "entries": [{"word": list(w), "value": [[[v, 0.0]]]} for w, v in values.items()],
+    }
+    f = tmp_path / "bad.json"
+    jsonio.dump_path(f, doc)
+    phi = pdfunction_from_json(doc)
+    S1 = [E, (1,), (-1,), (2,), (-2,)]
+    assert np.linalg.eigvalsh(gram(phi, S1).blocks).min() == pytest.approx(-0.196, abs=5e-4)
+    code, _, err = run(capfd, "extend", str(f), "--central", "--to", "3", "-o", str(tmp_path / "e.json"))
+    assert code == 1
+    assert json.loads(err)["error"] == "math-failure"
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_radialize_cli(tmp_path, capfd):
     h = tmp_path / "h.json"
     run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "2", "-o", str(h))
@@ -260,6 +294,7 @@ def test_factor_cli_infeasible_and_sample(tmp_path, capfd):
     diag = json.loads(err)
     assert diag["error"] == "infeasible"
     assert diag["gap"] > 0
+    assert diag["separation"] < 0
     code, out, _ = run(capfd, "sample", str(f), "--trials", "100", "--seed", "3")
     assert code == 0
     assert json.loads(out)["min_eigenvalue"] <= -0.5

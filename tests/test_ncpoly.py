@@ -301,6 +301,7 @@ def test_polish_skips_a_jacobian_above_the_entry_cap():
     assert not calls
     assert isinstance(result, InfeasibleReport)
     assert result.iterations == 1000
+    assert result.witness is None
 
 
 def diameter_n_square(ctx, n, c, rng):
@@ -388,14 +389,84 @@ def test_factor_certificate_contract():
     assert sample_positivity(p, trials=200, d_max=3, seed=7) >= -10 * 1e-6
 
 
+def assert_separating_witness(p, report):
+    """The report's witness is a PSD Gram matrix of a function phi' with <p, phi'> < 0.
+
+    The checks read the matrix and p only: phi' is read off the blocks by
+    word arithmetic over the index S_ceil(deg p / 2).
+    """
+    c, index = p.c, ball(p.ctx, (p.degree + 1) // 2)
+    W = report.witness
+    assert W.shape == (len(index) * c, len(index) * c)
+    phi = {}
+    for i, s in enumerate(index):
+        for j, t in enumerate(index):
+            block = W[i * c : (i + 1) * c, j * c : (j + 1) * c]
+            x = mul(inverse(s), t)
+            assert np.array_equal(phi.setdefault(x, block), block), x
+    n = W.shape[0]
+    assert np.linalg.eigvalsh(W).min() >= -n * np.finfo(float).eps * np.linalg.norm(W, 2)
+    pairing = sum(np.trace(phi[x].conj().T @ A).real for x, A in p.terms.items())
+    assert pairing < 0
+    assert report.separation == pytest.approx(pairing, rel=1e-9, abs=1e-12)
+
+
 def test_factor_infeasible_report():
     indef = scalar_poly(CTX1, {(1,): 1.0, (-1,): 1.0})
     report = factor_sos(indef, tol=1e-8, max_iter=1500)
     assert isinstance(report, InfeasibleReport)
     assert report.gap > 1e-3
-    assert report.iterations == 1500
+    # the first gap check finds a positive definite function separating p
+    assert report.iterations == 25
+    assert_separating_witness(indef, report)
     # cross-check: sampling independently exhibits negativity
     assert sample_positivity(indef, trials=200, d_max=3, seed=2) <= -0.5
+    # the boundary square (1 + X)* (1 + X) beside it certifies
+    assert isinstance(factor_sos(P_SHIFTED, tol=1e-8), SosCertificate)
+
+
+def test_exhausted_budget_carries_no_witness():
+    # 2(1 - eps)|c| + c X + conj(c) X*, eps = 0.001, is not positive, but too
+    # close to the boundary for a witness within 100 iterations
+    p = scalar_poly(CTX1, {E: 2 * 0.999, (1,): 1.0, (-1,): 1.0})
+    report = factor_sos(p, tol=1e-8, max_iter=100)
+    assert isinstance(report, InfeasibleReport)
+    assert report.iterations == 100
+    assert report.witness is None and report.separation is None
+
+
+def linear_polynomial(ctx, coefficients, eps):
+    """2(1 - eps) sum |c_i| + sum_i (c_i X_i + conj(c_i) X_i*): positive exactly when eps <= 0."""
+    a0 = 2 * (1 - eps) * sum(abs(z) for z in coefficients)
+    terms = {E: a0}
+    for i, z in enumerate(coefficients, start=1):
+        terms[(i,)], terms[(-i,)] = z, np.conj(z)
+    return scalar_poly(ctx, terms)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    eps=st.floats(0.1, 1.0),
+    c=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_witness_stops_exactly_the_non_positive_polynomials(m, eps, c, seed):
+    # an indefinite linear polynomial at distance eps from the boundary stops
+    # on a separating witness by iteration 200
+    ctx, rng = GroupContext(m), np.random.default_rng(seed)
+    coefficients = rng.uniform(0.5, 1.5, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+    p = linear_polynomial(ctx, coefficients, eps)
+    report = factor_sos(p, tol=1e-8, max_iter=200)
+    assert isinstance(report, InfeasibleReport) and report.witness is not None
+    assert report.iterations <= 200
+    assert_separating_witness(p, report)
+    # sums of squares never do: the boundary square sum_i |c_i| (1 + u_i X_i)* (1 + u_i X_i)
+    # of the same coefficients, and a sum of two planted squares
+    q1, q2 = random_poly(ctx, c, 1, rng), random_poly(ctx, c, 1, rng)
+    for square in (linear_polynomial(ctx, coefficients, 0.0), q1.adjoint() * q1 + q2.adjoint() * q2):
+        result = factor_sos(square, tol=1e-6, max_iter=1000)
+        assert not isinstance(result, InfeasibleReport) or result.witness is None
 
 
 def test_factor_requires_hermitian():

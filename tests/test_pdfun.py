@@ -28,6 +28,7 @@ from freepd.words import (
     ball,
     class_rep,
     classes_of_length,
+    classes_up_to,
     default_letter_order,
     inverse,
     mul,
@@ -94,7 +95,9 @@ def test_values_are_filed_once_per_class(data):
         if how != 0:
             values[inverse(rep)] = B.conj().T
 
-    expected = {rep: np.eye(k) if rep == E else random_block() for rep in BallDomain(R).class_reps(ctx)}
+    reps = BallDomain(R).class_reps(ctx)
+    assert reps == [cursor.rep for cursor in classes_up_to(ctx, R)]
+    expected = {rep: np.eye(k) if rep == E else random_block() for rep in reps}
     values: dict = {}
     for rep, B in expected.items():
         give(values, rep, B)
