@@ -88,10 +88,7 @@ class ExtensionTrace:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "trace.v1",
-            "m": self.ctx.m,
-            "k": self.k,
-            "letter_order": list(self.ctx.letter_order),
+            **jsonio.header("trace.v1", self.ctx, self.k),
             "start_n": self.start_n,
             "steps": [
                 {
@@ -116,10 +113,7 @@ def params_to_json(
     """The ``params.v1`` document: an explicit contraction sequence by class."""
     ordered = sorted(params, key=lambda cur: cur.key())
     return {
-        "schema": "params.v1",
-        "m": ctx.m,
-        "k": k,
-        "letter_order": list(ctx.letter_order),
+        **jsonio.header("params.v1", ctx, k),
         "from_n": from_n,
         "to_n": to_n,
         "params": [
@@ -136,9 +130,11 @@ def params_from_json(doc: dict) -> tuple[GroupContext, int, int, int, dict[Class
     ctx, k = jsonio.read_header(doc, "params.v1")
     params: dict[ClassCursor, np.ndarray] = {}
     for item in jsonio.require(doc, "params", list):
-        rep = jsonio.word_from_json(jsonio.require(item, "class"), ctx.m)
-        params[ClassCursor(rep, ctx)] = jsonio.matrix_from_json(jsonio.require(item, "gamma"))
-    return ctx, k, jsonio.require(doc, "from_n"), jsonio.require(doc, "to_n"), params
+        cursor = ClassCursor(jsonio.word_from_json(jsonio.require(item, "class"), ctx.m), ctx)
+        if cursor in params:
+            raise jsonio.SchemaError(f"'params' names the class of {cursor.rep} twice")
+        params[cursor] = jsonio.matrix_from_json(jsonio.require(item, "gamma"))
+    return ctx, k, jsonio.natural(doc, "from_n"), jsonio.natural(doc, "to_n"), params
 
 
 def trace_from_json(doc: dict) -> ExtensionTrace:
@@ -157,7 +153,7 @@ def trace_from_json(doc: dict) -> ExtensionTrace:
                 filled=jsonio.matrix_from_json(jsonio.require(item, "filled"), (k, k)),
             )
         )
-    return ExtensionTrace(ctx=ctx, k=k, start_n=jsonio.require(doc, "start_n"), steps=tuple(steps))
+    return ExtensionTrace(ctx=ctx, k=k, start_n=jsonio.natural(doc, "start_n"), steps=tuple(steps))
 
 
 def _window(values: WordValues, cursor: ClassCursor) -> tuple[PartialBlockMatrix, list[Word]]:
@@ -213,7 +209,7 @@ def extend_to_ball(
             filled = full[i_e * k : (i_e + 1) * k, i_s * k : (i_s + 1) * k]
             values.put(i, filled)
             steps.append(ExtensionStep(cursor, tuple(clique), defects.central, gamma, filled))
-    ext = PdFunction(ctx, k, BallDomain(N), values.by_class())
+    ext = PdFunction._of_table(ctx, k, BallDomain(N), values)
     return ext, ExtensionTrace(ctx=ctx, k=k, start_n=n, steps=tuple(steps))
 
 
@@ -251,12 +247,7 @@ class OrthogonalityReport:
         return self.ok
 
 
-def check_max_orthogonal(
-    phi: PdFunction,
-    n: int,
-    tol: float = 1e-8,
-    lin_tol: Tolerance = DEFAULT_TOL,
-) -> OrthogonalityReport:
+def check_max_orthogonal(phi: PdFunction, n: int, tol: float = 1e-8) -> OrthogonalityReport:
     """Check the defining orthogonality of the central extension at gap n + 1.
 
     For each class representative t of length n + 1, take the set Sigma of
@@ -281,7 +272,7 @@ def check_max_orthogonal(
         # Sigma lies in S_n, so in lexicographic order e comes first and t last
         S = [E, *sigma_set(phi.ctx, E, t, n, index), t]
         P = PartialBlockMatrix(gram(phi, S).blocks, (0, len(S) - 1), phi.k)
-        violation = float(np.linalg.norm(phi.value(t) - analyze(P, lin_tol).central, 2))
+        violation = float(np.linalg.norm(phi.value(t) - analyze(P, DEFAULT_TOL).central, 2))
         if violation > worst:
             worst = violation
             worst_class = cursor

@@ -56,6 +56,26 @@ def word_from_json(obj, m: int):
     return tuple(obj)
 
 
+def entries_to_json(entries) -> list:
+    """A word-keyed block list: one ``{"word", "value"}`` object per (word, block) pair."""
+    return [{"word": word_to_json(w), "value": matrix_to_json(B)} for w, B in entries]
+
+
+def entries_from_json(doc: dict, key: str, m: int, shape=None, add: bool = False) -> dict:
+    """The word-keyed block list ``doc[key]`` as a dict in file order.
+
+    A word listed twice is refused, or with ``add`` its blocks are summed.
+    """
+    out: dict = {}
+    for entry in require(doc, key, list):
+        word = word_from_json(require(entry, "word"), m)
+        if word in out and not add:
+            raise SchemaError(f"{key!r} lists the word {list(word)} twice")
+        block = matrix_from_json(require(entry, "value"), shape)
+        out[word] = out.get(word, 0) + block if add else block
+    return out
+
+
 def dumps(doc: dict) -> str:
     """Canonical serialization: stable key order, compact, newline-terminated."""
     return json.dumps(doc, indent=1) + "\n"
@@ -92,6 +112,14 @@ def require(doc: dict, key: str, kind: type | None = None):
     return value
 
 
+def natural(doc: dict, key: str) -> int:
+    """``doc[key]``, which must be a non-negative integer (``true`` is refused)."""
+    value = require(doc, key)
+    if type(value) is not int or value < 0:
+        raise SchemaError(f"{key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
 #: Header of each schema: its block-size key, and whether it names a letter order.
 _HEADERS = {
     "pdfun.v1": ("k", True),
@@ -100,6 +128,13 @@ _HEADERS = {
     "ncpoly.v1": ("c", False),
     "cert.v1": ("c", False),
 }
+
+
+def header(schema: str, ctx: GroupContext, size: int) -> dict:
+    """The header that :func:`read_header` checks, in the order every schema writes it."""
+    size_key, ordered = _HEADERS[schema]
+    order = {"letter_order": list(ctx.letter_order)} if ordered else {}
+    return {"schema": schema, "m": ctx.m, size_key: size, **order}
 
 
 def read_header(doc: dict, schema: str) -> tuple[GroupContext, int]:

@@ -138,25 +138,19 @@ class NcPolynomial:
 
     def to_json_dict(self) -> dict:
         """The ``ncpoly.v1`` document; it names no letter order, so terms go in the default one."""
+        default = GroupContext(self.ctx.m)
         return {
-            "schema": "ncpoly.v1",
-            "m": self.ctx.m,
-            "c": self.c,
-            "terms": [
-                {"word": jsonio.word_to_json(w), "value": jsonio.matrix_to_json(self.terms[w])}
-                for w in sorted(self.terms, key=GroupContext(self.ctx.m).sort_key)
-            ],
+            **jsonio.header("ncpoly.v1", default, self.c),
+            "terms": jsonio.entries_to_json(
+                (w, self.terms[w]) for w in sorted(self.terms, key=default.sort_key)
+            ),
         }
 
 
 def ncpolynomial_from_json(doc: dict) -> NcPolynomial:
+    """Parse an ``ncpoly.v1`` document; the terms listed at one word add up."""
     ctx, c = jsonio.read_header(doc, "ncpoly.v1")
-    terms: dict[Word, np.ndarray] = {}
-    for entry in jsonio.require(doc, "terms", list):
-        word = jsonio.word_from_json(jsonio.require(entry, "word"), ctx.m)
-        block = jsonio.matrix_from_json(jsonio.require(entry, "value"), (c, c))
-        terms[word] = terms.get(word, 0) + block
-    return NcPolynomial(ctx, c, terms)
+    return NcPolynomial(ctx, c, jsonio.entries_from_json(doc, "terms", ctx.m, (c, c), add=True))
 
 
 def eval_word(blocks: Sequence[np.ndarray], word: Word) -> np.ndarray:
@@ -384,20 +378,18 @@ class _GramProblem:
         return J.reshape(2 * neq, -1)
 
 
-def _gauss_newton_polish(
-    prob: _GramProblem, B0: np.ndarray, tol: float, max_steps: int = 40
-) -> tuple[np.ndarray, float]:
+def _gauss_newton_polish(prob: _GramProblem, B0: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     """Solve the coefficient equations on a fixed-rank Gram factor.
 
-    Damped Gauss-Newton on B (real and imaginary parts as unknowns);
-    returns the improved factor and its stacked residual.  G = B* B stays
-    PSD by construction, so a small enough residual certifies success.  A
-    least-squares solve that does not converge ends the attempt with the
-    factor reached so far.
+    At most 40 steps of damped Gauss-Newton on B (real and imaginary parts
+    as unknowns); returns the improved factor and its stacked residual.
+    G = B* B stays PSD by construction, so a small enough residual
+    certifies success.  A least-squares solve that does not converge ends
+    the attempt with the factor reached so far.
     """
     B = B0.copy()
     F, res = prob.stacked_residual(B)
-    for _ in range(max_steps):
+    for _ in range(40):
         if res <= tol:
             break
         J = prob.jacobian(B)
@@ -449,21 +441,23 @@ def factor_sos(
     """Search for a sum-of-squares certificate p = q* q.
 
     Dykstra's alternating projections run between the PSD cone and the
-    affine set of Gram matrices with the right coefficient sums; every 200
-    iterations a Gauss-Newton solve is attempted on a low-rank factor
-    seeded from the current PSD iterate.  Success returns a certificate
-    whose Gram matrix is PSD by construction and whose coefficient
-    residual is at most ``tol``.  Every 25 iterations, and at the last, the
-    search reads the separating witness of
-    :meth:`_GramProblem.separating_witness` and, when it proves p not
-    positive, returns an :class:`InfeasibleReport` carrying it at once;
-    exhaustion returns one with no witness, which is NOT a proof of
-    non-positivity.  The Gram index is S_h, h = ceil(deg p / 2), and
-    its differences number S_2h, so a polynomial whose S_2h passes the
-    ball cap raises :class:`~freepd.words.BallSizeError` before any
-    iteration: F_2 from degree 11, F_3 and F_4 from degree 7, F_5 from
-    degree 5.  A polish rank whose Jacobian would hold more than
-    ``JACOBIAN_ENTRY_CAP`` entries is skipped.
+    affine set of Gram matrices with the right coefficient sums, with a
+    gap check every 25 iterations and at the last.  At a check the search
+    reads the separating witness of :meth:`_GramProblem.separating_witness`
+    and, when it proves p not positive, returns an :class:`InfeasibleReport`
+    carrying it at once; otherwise, when the affine gap is at most
+    max(100 tol, 1e-2 max |A_x|), and up to 12 times in all, a Gauss-Newton
+    solve is attempted on low-rank factors seeded from the PSD iterate.
+    Success returns a certificate whose Gram matrix is PSD by construction
+    and whose coefficient residual is at most ``tol``; exhaustion returns
+    a report with no witness, which is NOT a proof of non-positivity.
+
+    The Gram index is S_h, h = ceil(deg p / 2), and its differences
+    number S_2h, so a polynomial whose S_2h passes the ball cap raises
+    :class:`~freepd.words.BallSizeError` before any iteration: F_2 from
+    degree 11, F_3 and F_4 from degree 7, F_5 from degree 5.  A polish
+    rank whose Jacobian would hold more than ``JACOBIAN_ENTRY_CAP``
+    entries is skipped.
     """
     if max_iter < 1:
         raise ValueError(f"sum-of-squares search needs max_iter >= 1, got {max_iter}")
@@ -494,9 +488,7 @@ def factor_sos(
             found = prob.separating_witness(Y)
             if found is not None:
                 break
-        # every polish iteration is also a gap check, so affine_gap belongs to this Y
-        if (it % 200 == 0 or last) and polish_budget > 0:
-            if affine_gap <= max(100 * tol, 1e-2 * scale):
+            if polish_budget > 0 and affine_gap <= max(100 * tol, 1e-2 * scale):
                 polish_budget -= 1
                 w, V = np.linalg.eigh(Y)
                 for R in ladder:
@@ -546,15 +538,10 @@ def split_squares(cert: SosCertificate) -> list[NcPolynomial]:
 
 def certificate_to_json(cert: SosCertificate) -> dict:
     return {
-        "schema": "cert.v1",
-        "m": cert.m,
-        "c": cert.c,
+        **jsonio.header("cert.v1", GroupContext(cert.m), cert.c),
         "index": [jsonio.word_to_json(w) for w in cert.index],
         "gram": jsonio.matrix_to_json(cert.gram),
-        "factors": [
-            {"word": jsonio.word_to_json(w), "value": jsonio.matrix_to_json(cert.factors[w])}
-            for w in cert.index
-        ],
+        "factors": jsonio.entries_to_json((w, cert.factors[w]) for w in cert.index),
         "residual": cert.residual,
         "iterations": cert.iterations,
     }
@@ -565,10 +552,7 @@ def certificate_from_json(doc: dict) -> SosCertificate:
     m = ctx.m
     index = [jsonio.word_from_json(w, m) for w in jsonio.require(doc, "index", list)]
     gram = jsonio.matrix_from_json(jsonio.require(doc, "gram"))
-    factors = {}
-    for entry in jsonio.require(doc, "factors", list):
-        word = jsonio.word_from_json(jsonio.require(entry, "word"), m)
-        factors[word] = jsonio.matrix_from_json(jsonio.require(entry, "value"))
+    factors = jsonio.entries_from_json(doc, "factors", m)
     return SosCertificate(
         index=tuple(index),
         m=m,

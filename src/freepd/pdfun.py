@@ -127,7 +127,7 @@ class PdFunction:
             raise ValueError(f"block size must be positive, got {k}")
         index = WordIndex(ctx, domain.n)
         table = WordValues(index, k)
-        outside = []  # the classes of words beyond the radius, named in the error below
+        outside = []  # the classes of words beyond the radius, named in _adopt's error
         for word, block in values.items():
             w = reduce_word(word)
             B = as_matrix(block)
@@ -144,9 +144,25 @@ class PdFunction:
             ):
                 raise ValueError(f"conflicting values for the class of {index.words[c]}")
             table.blocks[c], table.known[c] = B, True
+        self._adopt(ctx, k, domain, table, outside)
+
+    @classmethod
+    def _of_table(cls, ctx: GroupContext, k: int, domain, table: "WordValues") -> "PdFunction":
+        """The function of the class values a table knows; its index has radius ``domain.n``.
+
+        The table is taken over, not copied, and goes through the same
+        normalization, domain checks and freezing as the constructor's own.
+        """
+        phi = object.__new__(cls)
+        phi._adopt(ctx, k, domain, table, [])
+        return phi
+
+    def _adopt(self, ctx, k, domain, table, outside):
+        """Normalize Phi(e), check the domain, write the adjoints and freeze the table."""
+        index = table.index
         if not table.known[0]:  # id 0 is e
             raise ValueError("a value at the unit word is required")
-        reps = np.flatnonzero(table.known)
+        reps = np.flatnonzero(table.known & ~index.adj)
         unit = table.blocks[0]
         if not np.allclose(unit, np.eye(k), rtol=0.0, atol=1e-12):
             table.blocks[reps] = _normalize_unit(table.blocks[reps], unit)
@@ -193,12 +209,17 @@ class PdFunction:
 
     def restricted_to_ball(self, n: int) -> "PdFunction":
         """Restriction to S_n (which must lie inside the current domain)."""
-        given = self.table.by_class()
-        try:
-            values = {rep: given[rep] for rep in BallDomain(n).class_reps(self.ctx)}
-        except KeyError as exc:
-            raise DomainError(f"domain does not contain S_{n}: missing {exc}") from None
-        return PdFunction(self.ctx, self.k, BallDomain(n), values)
+        domain = BallDomain(n)
+        table = WordValues(WordIndex(self.ctx, n), self.k)
+        reps = np.flatnonzero(~table.index.adj[: table.index.size])
+        # the ids of a smaller ball are the first ids of a larger one; past
+        # this table's ball they read its sentinel id, which is never known
+        known = self.table.known[np.minimum(reps, self.table.index.size)]
+        if not known.all():
+            missing = table.index.words[reps[np.argmin(known)]]
+            raise DomainError(f"domain does not contain S_{n}: missing {missing}")
+        table.blocks[reps], table.known[reps] = self.table.blocks[reps], True
+        return PdFunction._of_table(self.ctx, self.k, domain, table)
 
     def ball_radius(self) -> int:
         if not isinstance(self.domain, BallDomain):
@@ -221,15 +242,9 @@ class PdFunction:
         if not isinstance(self.domain, BallDomain):
             raise DomainError("only ball domains serialize to pdfun.v1")
         return {
-            "schema": "pdfun.v1",
-            "m": self.ctx.m,
-            "k": self.k,
-            "letter_order": list(self.ctx.letter_order),
+            **jsonio.header("pdfun.v1", self.ctx, self.k),
             "domain": {"type": "ball", "n": self.domain.n},
-            "entries": [
-                {"word": jsonio.word_to_json(rep), "value": jsonio.matrix_to_json(block)}
-                for rep, block in self.table.by_class().items()
-            ],
+            "entries": jsonio.entries_to_json(self.table.by_class().items()),
         }
 
 
@@ -247,14 +262,10 @@ def _normalize_unit(blocks: np.ndarray, unit: np.ndarray) -> np.ndarray:
 def pdfunction_from_json(doc: dict) -> PdFunction:
     """Parse a ``pdfun.v1`` document."""
     ctx, k = jsonio.read_header(doc, "pdfun.v1")
-    m = ctx.m
     dom = jsonio.require(doc, "domain")
     if not (isinstance(dom, dict) and dom.get("type") == "ball" and type(dom.get("n")) is int):
         raise jsonio.SchemaError(f"unsupported domain {dom!r}")
-    values: dict[Word, np.ndarray] = {}
-    for entry in jsonio.require(doc, "entries", list):
-        word = jsonio.word_from_json(jsonio.require(entry, "word"), m)
-        values[word] = jsonio.matrix_from_json(jsonio.require(entry, "value"), (k, k))
+    values = jsonio.entries_from_json(doc, "entries", ctx.m, (k, k))
     try:
         return PdFunction(ctx, k, BallDomain(dom["n"]), values)
     except ValueError as exc:
@@ -439,9 +450,10 @@ def function_of_toeplitz(
         )
     if not is_psd(M.blocks, tol):
         raise NotPsdError("the Toeplitz matrix is not positive semidefinite")
+    table = WordValues(words, k)
     reps = np.flatnonzero(~words.adj[: words.size])
-    values = dict(zip((words.words[x] for x in reps), blocks[first[reps]]))
-    return PdFunction(ctx, M.k, BallDomain(2 * n), values)
+    table.blocks[reps], table.known[reps] = blocks[first[reps]], True
+    return PdFunction._of_table(ctx, k, BallDomain(2 * n), table)
 
 
 def kolmogorov(phi: PdFunction, n: int | None = None) -> dict[Word, np.ndarray]:
@@ -465,13 +477,14 @@ def radialize(phi: PdFunction) -> PdFunction:
     to this function).
     """
     n = phi.ball_radius()
-    bounds = [0, *phi.table.index.ends]  # the ids of sphere j run from bounds[j] to bounds[j + 1]
-    means: list[np.ndarray] = []
+    index = phi.table.index
+    table = WordValues(index, phi.k)
+    bounds = [0, *index.ends]  # the ids of sphere j run from bounds[j] to bounds[j + 1]
     for j in range(n + 1):
         blocks = phi.table.blocks[bounds[j] : bounds[j + 1]]
         # centered mean: exact on radial input, better conditioned in general;
         # symmetrized so the stored block is Hermitian to the last bit
         mean = blocks[0] + np.mean(blocks - blocks[0], axis=0)
-        means.append((mean + mean.conj().T) / 2.0)
-    values = {rep: means[len(rep)] for rep in phi.class_reps()}
-    return PdFunction(phi.ctx, phi.k, BallDomain(n), values)
+        table.blocks[bounds[j] : bounds[j + 1]] = (mean + mean.conj().T) / 2.0
+    table.known[: index.size] = True
+    return PdFunction._of_table(phi.ctx, phi.k, BallDomain(n), table)

@@ -183,10 +183,19 @@ def test_check_ortho_cli(tmp_path, capfd):
     code, out, _ = run(capfd, "check-ortho", str(ext), "--level", "1")
     assert code == 0
     assert json.loads(out)["ok"] is True
-    # --tol is taken as given, and must be positive and finite
-    code, out, _ = run(capfd, "check-ortho", str(ext), "--level", "1", "--tol", "1e-30")
-    assert code == 1
-    assert json.loads(out)["ok"] is False
+    # --tol is taken as given: a random-oracle extension passes at a tolerance
+    # one float above its reported worst violation and fails one float below
+    rnd = tmp_path / "rnd.json"
+    run(capfd, "extend", str(h), "--to", "2", "--random-oracle", "--seed", "2", "-o", str(rnd))
+    code, out, _ = run(capfd, "check-ortho", str(rnd), "--level", "1")
+    worst = json.loads(out)["worst_violation"]
+    assert code == 1 and worst > 1e-8
+    for tol, expect in ((np.nextafter(worst, np.inf), 0), (np.nextafter(worst, 0.0), 1)):
+        code, out, _ = run(capfd, "check-ortho", str(rnd), "--level", "1", "--tol", repr(float(tol)))
+        report = json.loads(out)
+        assert code == expect
+        assert report["ok"] is (expect == 0) and report["worst_violation"] == worst
+    # and must be positive and finite
     for tol in ("0", "-1", "inf"):
         for cmd in (["check-ortho", str(ext), "--level", "1"], ["verify", str(ext)]):
             code, _, err = run(capfd, *cmd, "--tol", tol)
@@ -377,6 +386,52 @@ def test_bad_header_is_bad_input(tmp_path, capfd):
     jsonio.dump_path(h, pdfun)
     code, _, err = run(capfd, "verify", str(h))
     assert_bad_input(code, err)
+
+
+def test_pdfun_word_listed_twice_is_bad_input(tmp_path, capfd):
+    h = tmp_path / "h.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
+    doc = jsonio.load_path(h)
+    for value in ([[[0.1, 0.0]]], doc["entries"][1]["value"]):  # conflicting, then equal
+        twice = {**doc, "entries": [*doc["entries"], {"word": doc["entries"][1]["word"], "value": value}]}
+        jsonio.dump_path(h, twice)
+        code, _, err = run(capfd, "verify", str(h))
+        assert_bad_input(code, err)
+        assert json.loads(err)["detail"] == "'entries' lists the word [1] twice"
+
+
+def replay_with_params(tmp_path, capfd, edit) -> tuple[int, str]:
+    """Exit code and stderr of ``extend --params`` from a params.v1 file changed by ``edit``."""
+    h, ext, params = (tmp_path / name for name in ("h.json", "ext.json", "params.json"))
+    run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
+    run(capfd, "extend", str(h), "--to", "2", "--random-oracle", "--seed", "3", "-o", str(ext))
+    run(capfd, "params", str(ext), "--from", "1", "-o", str(params))
+    doc = jsonio.load_path(params)
+    edit(doc)
+    jsonio.dump_path(params, doc)
+    code, _, err = run(capfd, "extend", str(h), "--to", "2", "--params", str(params), "-o", str(tmp_path / "x.json"))
+    return code, err
+
+
+def test_params_class_named_twice_is_bad_input(tmp_path, capfd):
+    # the class {a1 a2, a2^-1 a1^-1}, named by its representative and then by
+    # either member with another parameter
+    for word in ([1, 2], [-2, -1]):
+        code, err = replay_with_params(
+            tmp_path, capfd, lambda doc: doc["params"].append({"class": word, "gamma": [[[0.0, 0.0]]]})
+        )
+        assert_bad_input(code, err)
+        assert json.loads(err)["detail"] == "'params' names the class of (1, 2) twice"
+
+
+def test_params_radii_are_non_negative_integers(tmp_path, capfd):
+    for key in ("from_n", "to_n"):
+        for value in ("x", True, -1, 1.0, None):
+            code, err = replay_with_params(tmp_path, capfd, lambda doc: doc.update({key: value}))
+            assert_bad_input(code, err)
+            assert json.loads(err)["detail"] == (
+                f"{key!r} must be a non-negative integer, got {value!r}"
+            )
 
 
 #: Flag values that reach the program as text, invalid or at a boundary.

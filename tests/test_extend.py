@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +17,16 @@ from freepd.extend import (
     trace_from_json,
     zero_oracle,
 )
-from freepd.pdfun import BallDomain, PdFunction, verify_pd
+from freepd.pdfun import (
+    BallDomain,
+    PdFunction,
+    function_of_toeplitz,
+    radialize,
+    toeplitz_of,
+    verify_pd,
+)
 from freepd.sampling import random_gamma_oracle, random_pd_function
-from freepd.words import ClassCursor, E, GroupContext, ball, inverse, mul
+from freepd.words import ClassCursor, E, GroupContext, WordIndex, ball, inverse, mul
 
 CTX2 = GroupContext(2)
 CTX1 = GroupContext(1)
@@ -121,6 +129,14 @@ def test_trace_json_roundtrip():
     assert replay == out
 
 
+def test_trace_start_radius_is_a_non_negative_integer():
+    _, trace = extend_to_ball(random_pd_function(CTX2, 1, 2, RNG), 3, random_gamma_oracle(seed=6))
+    doc = trace.to_json_dict()
+    for value in ("x", True, -1, 2.0):
+        with pytest.raises(jsonio.SchemaError, match="'start_n' must be a non-negative integer"):
+            trace_from_json({**doc, "start_n": value})
+
+
 def test_params_json_roundtrip():
     phi = random_pd_function(CTX2, 1, 2, RNG)
     out, trace = extend_to_ball(phi, 3, random_gamma_oracle(seed=8))
@@ -141,6 +157,29 @@ def test_params_json_replays_empty_parameters():
     *_, params = params_from_json(json.loads(jsonio.dumps(doc)))
     replay, _ = extend_to_ball(phi, 4, oracle_from_params(params))
     assert replay == out
+
+
+def test_each_new_function_builds_at_most_one_word_index():
+    # the engine, restriction and the Toeplitz inverse hand the result the
+    # table they filled, and radialization reuses its input's index
+    phi = random_pd_function(CTX2, 1, 2, RNG)
+    builds = []
+    init = WordIndex.__init__
+
+    def counted(self, ctx, R):
+        builds.append(R)
+        init(self, ctx, R)
+
+    with mock.patch.object(WordIndex, "__init__", counted):
+        ext, _ = extend_to_ball(phi, 4, random_gamma_oracle(seed=1))
+        assert builds == [4]
+        assert radialize(ext).table.index is ext.table.index
+        small = ext.restricted_to_ball(2)
+        M = toeplitz_of(ext)
+        assert builds == [4, 2]
+        assert function_of_toeplitz(M, CTX2) == ext
+        assert builds == [4, 2, 4]
+    assert small == PdFunction(CTX2, 1, BallDomain(2), {w: ext.value(w) for w in ball(CTX2, 2)})
 
 
 def test_restriction_coherence():

@@ -507,8 +507,19 @@ def test_ncpoly_json_roundtrip():
     doc = p.to_json_dict()
     back = ncpolynomial_from_json(json.loads(jsonio.dumps(doc)))
     assert back == p
+    # terms listed at one word add up
+    doc = P_SHIFTED.to_json_dict()
+    doc["terms"] += [{"word": [1], "value": [[[0.5, 0.0]]]}, {"word": [-1], "value": [[[0.5, 0.0]]]}]
+    assert ncpolynomial_from_json(doc) == scalar_poly(CTX1, {E: 2.0, (1,): 1.5, (-1,): 1.5})
     with pytest.raises(jsonio.SchemaError):
         ncpolynomial_from_json({"schema": "pdfun.v1"})
+
+
+def test_certificate_factor_word_listed_twice_is_refused():
+    doc = certificate_to_json(factor_sos(P_SHIFTED, tol=1e-8))
+    doc["factors"].append(doc["factors"][0])
+    with pytest.raises(jsonio.SchemaError, match=r"'factors' lists the word \[\] twice"):
+        certificate_from_json(doc)
 
 
 def test_certificate_json_roundtrip():
