@@ -11,6 +11,7 @@ emit a structured JSON diagnostic on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -213,7 +214,9 @@ def cmd_sample(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``freepd`` parser, built once per process: building it costs far more than a parse."""
     parser = _Parser(
         prog="freepd",
         description="Positive definite functions on free groups: verify, extend, "

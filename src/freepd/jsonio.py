@@ -9,6 +9,7 @@ same document always serializes to the same bytes.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,14 @@ def natural(doc: dict, key: str) -> int:
     if type(value) is not int or value < 0:
         raise SchemaError(f"{key!r} must be a non-negative integer, got {value!r}")
     return value
+
+
+def finite_non_negative(doc: dict, key: str) -> float:
+    """``doc[key]``, which must be a finite non-negative JSON number (``false`` is refused)."""
+    value = require(doc, key)
+    if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+        raise SchemaError(f"{key!r} must be a finite non-negative number, got {value!r}")
+    return float(value)
 
 
 #: Header of each schema: its block-size key, and whether it names a letter order.

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import jsonio
 from .linalg import _psd_clip, as_matrix
-from .sampling import haar_unitary
+from .sampling import unitary_part
 from .words import GroupContext, Word, WordIndex, inverse, mul, reduce_word
 
 
@@ -205,9 +205,12 @@ def sample_positivity(
 
     A clearly negative return certifies that p is not positive; a
     nonnegative return is evidence only.  Dimensions are drawn uniformly
-    from 1..d_max.  The trials are drawn one after another and evaluated in
-    stacks of equal dimension, a bounded number of entries at a time; the
-    minimum is taken in trial order.
+    from 1..d_max.  The trials are drawn one after another, each as its
+    dimension d and then one normal draw of shape (m, 2, d, d), the real and
+    imaginary parts of m Ginibre matrices: the same stream as m calls of
+    :func:`haar_unitary`.  A bounded number of entries at a time, each
+    dimension's draws get one stacked QR and are evaluated as one stack;
+    the minimum is taken in trial order.
     """
     if trials < 1:
         raise ValueError(f"positivity sampling needs at least one trial, got {trials}")
@@ -229,11 +232,12 @@ def sample_positivity(
         dims, draws = [], []
         for _ in range(min(chunk, trials - start)):
             dims.append(int(rng.integers(1, d_max + 1)))
-            draws.append([haar_unitary(dims[-1], rng) for _ in range(m)])
+            draws.append(rng.normal(size=(m, 2, dims[-1], dims[-1])))
         mins = np.empty(len(dims))
         for d in set(dims):
             sel = [t for t, e in enumerate(dims) if e == d]
-            M = eval_unitaries(p, [np.stack([draws[t][k] for t in sel]) for k in range(m)])
+            G = np.stack([draws[t] for t in sel], axis=1)  # (m, trials, 2, d, d)
+            M = eval_unitaries(p, list(unitary_part(G[:, :, 0] + 1j * G[:, :, 1])))
             mins[sel] = np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2.0).min(axis=-1)
         worst = min(worst, *mins.tolist())
     return worst
@@ -548,17 +552,20 @@ def certificate_to_json(cert: SosCertificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> SosCertificate:
+    """A ``cert.v1`` document: the factor words are the index words, in index order."""
     ctx, c = jsonio.read_header(doc, "cert.v1")
     m = ctx.m
-    index = [jsonio.word_from_json(w, m) for w in jsonio.require(doc, "index", list)]
-    gram = jsonio.matrix_from_json(jsonio.require(doc, "gram"))
+    index = tuple(jsonio.word_from_json(w, m) for w in jsonio.require(doc, "index", list))
+    gram = jsonio.matrix_from_json(jsonio.require(doc, "gram"), (len(index) * c,) * 2)
     factors = jsonio.entries_from_json(doc, "factors", m)
+    if tuple(factors) != index:
+        raise jsonio.SchemaError("the 'factors' words must be the 'index' words, in index order")
     return SosCertificate(
-        index=tuple(index),
+        index=index,
         m=m,
         c=c,
         gram=gram,
         factors=factors,
-        residual=float(jsonio.require(doc, "residual")),
-        iterations=int(jsonio.require(doc, "iterations")),
+        residual=jsonio.finite_non_negative(doc, "residual"),
+        iterations=jsonio.natural(doc, "iterations"),
     )

@@ -2,7 +2,11 @@ import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freepd import jsonio
-from freepd.cli import main
+import freepd
+from freepd import jsonio, ncpoly
+from freepd.cli import build_parser, main
 from freepd.extend import extend_to_ball, extract_params, params_to_json, trace_from_json
 from freepd.ncpoly import NcPolynomial, certificate_from_json
 from freepd.pdfun import gram, pdfunction_from_json
 from freepd.quasimult import haagerup
-from freepd.words import E, GroupContext, inverse
+from freepd.words import E, GroupContext, ball, inverse
 
 
 def assert_bad_input(code, err):
@@ -315,6 +320,74 @@ def test_factor_cli_infeasible_and_sample(tmp_path, capfd):
     ):
         code, _, err = run(capfd, *argv)
         assert_bad_input(code, err)
+
+
+def fresh_process(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command in a new interpreter."""
+    src = str(Path(freepd.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "freepd.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_call(tmp_path, capfd):
+    # the parser is built once; a usage error and then two valid calls in one
+    # process each return what a new process returns
+    assert build_parser() is build_parser()
+    f = tmp_path / "p.json"
+    write_shifted_square(f)
+    for argv in (
+        ["sample", str(f), "--trials", "5", "--dmax", "x"],
+        ["factor", str(f), "-o", str(tmp_path / "c.json")],
+        ["sample", str(f), "--trials", "50", "--seed", "1"],
+    ):
+        here = run(capfd, *argv)
+        assert here == fresh_process(*argv)
+    assert here[0] == 0
+    assert json.loads(here[1])["trials"] == 50
+
+
+def pinned_polynomial(m: int, c: int) -> NcPolynomial:
+    """p + p* for p with seeded normal c x c coefficients on the ball of radius 2 of F_m."""
+    ctx = GroupContext(m)
+    rng = np.random.default_rng(10 * m + c)
+    p = NcPolynomial(ctx, c, {w: rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)) for w in ball(ctx, 2)})
+    return p + p.adjoint()
+
+
+#: The stdout of ``sample --dmax D --seed 7`` on ``pinned_polynomial(m, c)``, keyed
+#: by (m, c, D), as recorded when each Haar unitary was drawn and factored on its
+#: own (numpy 2.4.6, OpenBLAS 0.3.31).
+SAMPLE_STDOUT = {
+    (2, 1, 3): '{"min_eigenvalue": -15.892691115472193, "trials": 200, "d_max": 3}\n',
+    (2, 1, 4): '{"min_eigenvalue": -14.920150670438778, "trials": 200, "d_max": 4}\n',
+    (2, 2, 3): '{"min_eigenvalue": -24.63181588444877, "trials": 200, "d_max": 3}\n',
+    (2, 2, 4): '{"min_eigenvalue": -25.41842630383678, "trials": 200, "d_max": 4}\n',
+    (3, 1, 3): '{"min_eigenvalue": -24.002957389004848, "trials": 200, "d_max": 3}\n',
+    (3, 1, 4): '{"min_eigenvalue": -24.59818508305979, "trials": 200, "d_max": 4}\n',
+}
+
+
+def sample_pinned(tmp_path, capfd, m: int, c: int, dmax: int) -> tuple[int, str, str]:
+    f = tmp_path / "p.json"
+    jsonio.dump_path(f, pinned_polynomial(m, c).to_json_dict())
+    return run(capfd, "sample", str(f), "--dmax", str(dmax), "--seed", "7")
+
+
+@pytest.mark.parametrize("m, c, dmax", sorted(SAMPLE_STDOUT))
+def test_sample_prints_the_pinned_bytes(tmp_path, capfd, m, c, dmax):
+    assert sample_pinned(tmp_path, capfd, m, c, dmax) == (0, SAMPLE_STDOUT[m, c, dmax], "")
+
+
+def test_sample_prints_the_pinned_bytes_one_trial_per_chunk(tmp_path, capfd):
+    with mock.patch.object(ncpoly, "_SAMPLE_CHUNK", 1):
+        assert sample_pinned(tmp_path, capfd, 2, 2, 4) == (0, SAMPLE_STDOUT[2, 2, 4], "")
 
 
 def test_factor_linalg_failure_is_a_math_failure(tmp_path, capfd):

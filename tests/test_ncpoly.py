@@ -1,3 +1,4 @@
+import functools
 import json
 from unittest import mock
 
@@ -21,7 +22,7 @@ from freepd.ncpoly import (
     sample_positivity,
     split_squares,
 )
-from freepd.sampling import haar_unitary
+from freepd.sampling import haar_unitary, unitary_part
 from freepd.words import E, GroupContext, ball, inverse, mul
 
 CTX1 = GroupContext(1)
@@ -235,6 +236,24 @@ def test_sampling_equals_the_streaming_loop(m, c, degree, seed, trials, d_max, c
     with mock.patch.object(ncpoly, "_SAMPLE_CHUNK", chunk):
         got = sample_positivity(p, trials, d_max, seed)
     assert got == streaming_sample(p, trials, d_max, seed)
+
+
+@kernel_property
+@given(d=st.integers(1, 4), stack=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_stacked_unitary_part_equals_haar_unitary(d, stack, seed):
+    # one normal draw for a stack of Ginibre matrices holds the values of, and
+    # leaves the generator as, one haar_unitary call per matrix; one stacked QR
+    # of it gives each call's unitary bit for bit
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(stack, 2, d, d))
+    drawn_state = rng.bit_generator.state
+    rng = np.random.default_rng(seed)
+    one_by_one = [haar_unitary(d, rng) for _ in range(stack)]
+    assert rng.bit_generator.state == drawn_state
+    got = unitary_part(G[:, 0] + 1j * G[:, 1])
+    assert got.shape == (stack, d, d)
+    for U, V in zip(got, one_by_one):
+        assert np.array_equal(U, V)
 
 
 def test_factor_hand_example():
@@ -519,6 +538,57 @@ def test_certificate_factor_word_listed_twice_is_refused():
     doc = certificate_to_json(factor_sos(P_SHIFTED, tol=1e-8))
     doc["factors"].append(doc["factors"][0])
     with pytest.raises(jsonio.SchemaError, match=r"'factors' lists the word \[\] twice"):
+        certificate_from_json(doc)
+
+
+def certificate_doc() -> dict:
+    """The cert.v1 document of P_SHIFTED over the index S_1 of F_1: [], [1], [-1]."""
+    return json.loads(_certificate_text())
+
+
+@functools.cache
+def _certificate_text() -> str:
+    return jsonio.dumps(certificate_to_json(factor_sos(P_SHIFTED, tol=1e-8)))
+
+
+@pytest.mark.parametrize("value", ["12", True, 7.9, -1, None])
+def test_certificate_iterations_must_be_a_natural(value):
+    doc = certificate_doc()
+    doc["iterations"] = value
+    with pytest.raises(jsonio.SchemaError, match="'iterations' must be a non-negative integer"):
+        certificate_from_json(doc)
+
+
+@pytest.mark.parametrize("value", ["nan", False, float("nan"), float("inf"), -1e-3, pytest.param(10**400, id="huge"), None])
+def test_certificate_residual_must_be_a_finite_non_negative_number(value):
+    doc = certificate_doc()
+    doc["residual"] = value
+    with pytest.raises(jsonio.SchemaError, match="'residual' must be a finite non-negative number"):
+        certificate_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda fs: fs.pop(),  # a factor missing
+        lambda fs: fs.reverse(),  # out of index order
+        lambda fs: fs[1].update(word=[1, 1]),  # a word outside the index
+        lambda fs: fs.append({"word": [1, 1], "value": fs[0]["value"]}),  # one word too many
+    ],
+    ids=["missing", "reordered", "foreign", "extra"],
+)
+def test_certificate_factor_words_must_be_the_index_words(edit):
+    doc = certificate_doc()
+    edit(doc["factors"])
+    with pytest.raises(jsonio.SchemaError, match="'factors' words must be the 'index' words"):
+        certificate_from_json(doc)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2), (4, 4)])
+def test_certificate_gram_must_span_the_index(shape):
+    doc = certificate_doc()
+    doc["gram"] = jsonio.matrix_to_json(np.eye(*shape))
+    with pytest.raises(jsonio.SchemaError, match=r"matrix has shape .*, expected \(3, 3\)"):
         certificate_from_json(doc)
 
 
