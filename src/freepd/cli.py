@@ -4,7 +4,8 @@ Deterministic and scriptable: on one numpy/BLAS build and BLAS thread
 count, a run with identical inputs and options produces byte-identical
 output files.  Exit status 0 on success, 1 on a mathematical failure
 (non-positive input, violated orthogonality, infeasible factorization, a
-LAPACK routine that does not converge), 2 on malformed input; failures
+LAPACK routine that does not converge), 2 on malformed input, a file that
+cannot be read or written, or an array too large to allocate; failures
 emit a structured JSON diagnostic on standard error.
 """
 
@@ -296,10 +297,7 @@ def main(argv=None) -> int:
     except MATH_ERRORS as exc:
         _diagnostic("math-failure", str(exc))
         return 1
-    except (jsonio.SchemaError, CliInputError, FileNotFoundError, IsADirectoryError) as exc:
-        _diagnostic("bad-input", str(exc))
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         _diagnostic("bad-input", str(exc))
         return 2
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, _gram_factors, as_matrix, is_psd, pinv
+from .linalg import DEFAULT_TOL, Tolerance, _check_hermitian, _gram_factors, as_matrix, is_psd, pinv
 
 #: Operator-norm overshoot treated as floating-point noise and renormalized.
 GAMMA_NORM_SLACK = 1e-9
@@ -82,9 +82,7 @@ class PartialBlockMatrix:
         object.__setattr__(self, "entries", M)
         object.__setattr__(self, "missing", (int(i), int(j)))
         object.__setattr__(self, "p", p)
-        herm = np.abs(M - M.conj().T).max(initial=0.0)
-        if herm > 1e-12 * max(1.0, np.abs(M).max(initial=0.0)):
-            raise ValueError("known entries are not Hermitian as a pattern")
+        _check_hermitian(M)
 
     def block(self, i: int, j: int) -> np.ndarray:
         k = self.k
@@ -155,6 +153,8 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DefectData:
         bordered[n, :d, d:] = B[n][drop]
         bordered[n, d:, :d] = B[n][drop].conj().T
     mu = np.linalg.eigvalsh(bordered)
+    # not Tolerance.psd_floor: the scale also takes in A_EE's spectrum, which
+    # the bordered matrices do not contain
     floor = -tol.psd_eps * np.maximum(scale, np.abs(mu).max(axis=1))
     for y, bad in zip((j, i), mu.min(axis=1) < floor):
         if bad:

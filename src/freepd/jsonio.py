@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .words import GroupContext
+from .words import GroupContext, check_letters
 
 
 class SchemaError(ValueError):
@@ -50,11 +50,13 @@ def word_to_json(word) -> list[int]:
 
 
 def word_from_json(obj, m: int):
-    if not isinstance(obj, list) or not all(
-        isinstance(x, int) and x != 0 and abs(x) <= m for x in obj
-    ):
-        raise SchemaError(f"malformed word {obj!r} for m = {m}")
-    return tuple(obj)
+    """A JSON list of letters of F_m, as the word it spells, unreduced."""
+    if isinstance(obj, list):
+        try:
+            return check_letters(obj, m)
+        except ValueError:
+            pass
+    raise SchemaError(f"malformed word {obj!r} for m = {m}")
 
 
 def entries_to_json(entries) -> list:
@@ -89,16 +91,11 @@ def dump_path(path, doc: dict):
 def load_path(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"top-level JSON value in {path} must be an object")
     return doc
-
-
-def expect_schema(doc: dict, name: str):
-    if doc.get("schema") != name:
-        raise SchemaError(f"expected schema {name!r}, got {doc.get('schema')!r}")
 
 
 def require(doc: dict, key: str, kind: type | None = None):
@@ -150,16 +147,18 @@ def read_header(doc: dict, schema: str) -> tuple[GroupContext, int]:
     """Check a document's schema and header; return its group context and block size.
 
     The header is ``m``, the block size (``k`` or ``c``, both positive
-    integers) and, for the schemas that name one, the ``letter_order``.
+    integers) and, for the schemas that name one, the ``letter_order``: a
+    list of JSON integers.
     """
-    expect_schema(doc, schema)
+    if doc.get("schema") != schema:
+        raise SchemaError(f"expected schema {schema!r}, got {doc.get('schema')!r}")
     size_key, ordered = _HEADERS[schema]
     m = require(doc, "m")
     size = require(doc, size_key)
     if not all(type(x) is int and x >= 1 for x in (m, size)):
         raise SchemaError(f"invalid dimensions m={m!r}, {size_key}={size!r}")
-    order = require(doc, "letter_order") if ordered else None
+    order = require(doc, "letter_order", list) if ordered else None
     try:
-        return GroupContext(m, None if order is None else tuple(order)), size
+        return GroupContext(m, None if order is None else check_letters(order, m)), size
     except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc

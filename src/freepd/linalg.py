@@ -32,6 +32,10 @@ class Tolerance:
         if not (0 < self.psd_eps < np.inf and 0 < self.rank_eps < np.inf):
             raise ValueError("tolerances must be strictly positive and finite")
 
+    def psd_floor(self, w: np.ndarray) -> float:
+        """The least eigenvalue a PSD spectrum w may show: -psd_eps * max(1, max |w|)."""
+        return -self.psd_eps * max(1.0, np.abs(w).max())
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -73,8 +77,7 @@ def is_psd(A, tol: Tolerance = DEFAULT_TOL) -> bool:
     if M.size == 0:
         return True
     w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-    scale = max(1.0, np.abs(w).max())
-    return w.min() >= -tol.psd_eps * scale
+    return w.min() >= tol.psd_floor(w)
 
 
 def gram_factor(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -98,11 +101,10 @@ def _gram_factors(M: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
     ws, Vs = np.linalg.eigh(M)
     factors = []
     for w, V in zip(ws[:, ::-1], Vs[:, :, ::-1]):
-        scale = max(1.0, np.abs(w).max())
-        if w[-1] < -tol.psd_eps * scale:
+        floor = tol.psd_floor(w)
+        if w[-1] < floor:
             raise NotPsdError(
-                f"matrix is not PSD: min eigenvalue {w[-1]:.3e} below floor "
-                f"{-tol.psd_eps * scale:.3e}"
+                f"matrix is not PSD: min eigenvalue {w[-1]:.3e} below floor {floor:.3e}"
             )
         keep = w > tol.rank_eps * max(w.max(initial=0.0), 0.0)
         factors.append(np.sqrt(w[keep])[:, None] * V[:, keep].conj().T)

@@ -118,10 +118,7 @@ class NcPolynomial:
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
         self._check_compatible(other)
-        out = {w: B.copy() for w, B in self.terms.items()}
-        for w, B in other.terms.items():
-            out[w] = out[w] - B if w in out else -B
-        return NcPolynomial(self.ctx, self.c, out)
+        return self + NcPolynomial(self.ctx, self.c, {w: -B for w, B in other.terms.items()})
 
     def max_coefficient_norm(self) -> float:
         return max((np.linalg.norm(B, 2) for B in self.terms.values()), default=0.0)
@@ -349,9 +346,6 @@ class _GramProblem:
         diff = (self.class_sums(G) - self.targets).reshape(-1, self.c, self.c)
         return float(np.linalg.norm(diff, 2, axis=(1, 2)).max())
 
-    def residual_of_factor(self, B: np.ndarray) -> float:
-        return self.affine_gap(B.conj().T @ B)
-
     def stacked_residual(self, B: np.ndarray) -> tuple[np.ndarray, float]:
         """Class sums of B* B minus the targets, and their norm stacked over all classes."""
         diff = self.class_sums(B.conj().T @ B) - self.targets
@@ -432,7 +426,7 @@ def _certificate(prob, m, B, iterations) -> SosCertificate:
         c=c,
         gram=gram,
         factors=factors,
-        residual=prob.residual_of_factor(B),
+        residual=prob.affine_gap(B.conj().T @ B),
         iterations=iterations,
     )
 
@@ -487,7 +481,7 @@ def factor_sos(
             psd_gap = max(0.0, -float(np.linalg.eigvalsh(X).min()))
             if affine_gap <= tol / 10 and psd_gap <= tol / 10:
                 B = _top_rank_factor(Y)
-                if prob.residual_of_factor(B) <= tol:
+                if prob.affine_gap(B.conj().T @ B) <= tol:
                     return _certificate(prob, p.ctx.m, B, it)
             found = prob.separating_witness(Y)
             if found is not None:
@@ -552,14 +546,26 @@ def certificate_to_json(cert: SosCertificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> SosCertificate:
-    """A ``cert.v1`` document: the factor words are the index words, in index order."""
+    """A ``cert.v1`` document: the factor words are the index words, in index order.
+
+    The index is not empty, and the factor blocks share one shape (R, c);
+    a block written as ``[]`` reads as (0, c), the rank-0 factor.
+    """
     ctx, c = jsonio.read_header(doc, "cert.v1")
     m = ctx.m
     index = tuple(jsonio.word_from_json(w, m) for w in jsonio.require(doc, "index", list))
+    if not index:
+        raise jsonio.SchemaError("'index' must list at least one word")
     gram = jsonio.matrix_from_json(jsonio.require(doc, "gram"), (len(index) * c,) * 2)
-    factors = jsonio.entries_from_json(doc, "factors", m)
+    factors = {
+        w: B.reshape(0, c) if B.shape == (0, 0) else B
+        for w, B in jsonio.entries_from_json(doc, "factors", m).items()
+    }
     if tuple(factors) != index:
         raise jsonio.SchemaError("the 'factors' words must be the 'index' words, in index order")
+    shapes = sorted({B.shape for B in factors.values()})
+    if len(shapes) != 1 or shapes[0][1] != c:
+        raise jsonio.SchemaError(f"the 'factors' blocks must share one shape (R, {c}), got {shapes}")
     return SosCertificate(
         index=index,
         m=m,

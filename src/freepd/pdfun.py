@@ -63,9 +63,6 @@ class BallDomain:
         if self.n < 0:
             raise ValueError(f"ball radius must be nonnegative, got n = {self.n}")
 
-    def contains(self, word: Word, ctx: GroupContext) -> bool:
-        return len(word) <= self.n
-
     def class_reps(self, ctx: GroupContext) -> list[Word]:
         """The class representatives of S_n in lexicographic order: the ``~adj`` ids of its index."""
         index = WordIndex(ctx, self.n)
@@ -89,9 +86,6 @@ class IdealDomain:
     def n(self) -> int:
         """The radius of the smallest ball holding the domain."""
         return self.last.length
-
-    def contains(self, word: Word, ctx: GroupContext) -> bool:
-        return ctx.sort_key(class_rep(word, ctx)) <= self.last.key()
 
     def mask(self, index: WordIndex) -> np.ndarray:
         """Which ids of an index of radius at least n lie in the domain."""
@@ -195,9 +189,6 @@ class PdFunction:
         if not self.table.known[i]:
             raise MissingValueError(f"no value at {w}: outside domain {self.domain.describe()}")
         return self.table.blocks[i]
-
-    def class_reps(self) -> list[Word]:
-        return list(self.table.by_class())
 
     def with_class_value(self, cursor: ClassCursor, block: np.ndarray) -> "PdFunction":
         """New snapshot extended by one class; the domain grows to its ideal."""
@@ -396,11 +387,10 @@ def verify_pd(
     for S in sets:
         A = gram(phi, S).blocks
         w = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
-        floor = -tol.psd_eps * max(1.0, np.abs(w).max())
         if w.min() < worst:
             worst = float(w.min())
             worst_set = tuple(S)
-        if w.min() < floor:
+        if w.min() < tol.psd_floor(w):
             ok = False
     return VerifyResult(ok=ok, min_eigenvalue=worst, witness=worst_set)
 

@@ -91,15 +91,21 @@ def reduce_word(letters: Iterable[int]) -> Word:
     return tuple(out)
 
 
+def check_letters(letters: Sequence[int], m: int) -> Word:
+    """The letters as a tuple; each must be an ``int`` (not a ``bool``) naming a letter of F_m."""
+    word = tuple(letters)
+    for x in word:
+        if type(x) is not int or x == 0 or abs(x) > m:
+            raise ValueError(f"invalid letter {x!r} for F_{m}")
+    return word
+
+
 def make_word(ctx: GroupContext, letters: Sequence[int]) -> Word:
     """Validate letters against the context and return the reduced word.
 
     Unreduced input is reduced silently, never rejected.
     """
-    for x in letters:
-        if not isinstance(x, int) or x == 0 or abs(x) > ctx.m:
-            raise ValueError(f"invalid letter {x!r} for F_{ctx.m}")
-    return reduce_word(letters)
+    return reduce_word(check_letters(letters, ctx.m))
 
 
 def inverse(s: Word) -> Word:
@@ -326,12 +332,6 @@ class ClassCursor:
     def successor(self) -> "ClassCursor":
         """The smallest class strictly greater than this one."""
         return next(c for c in classes_up_to(self.ctx, self.length + 1) if c > self)
-
-    def predecessor(self) -> "ClassCursor":
-        """Inverse of :meth:`successor`; undefined at the unit class."""
-        if self.rep == E:
-            raise ValueError("the unit class has no predecessor")
-        return [c for c in classes_up_to(self.ctx, self.length) if c < self][-1]
 
     def _check_ctx(self, other: "ClassCursor"):
         if self.ctx != other.ctx:

@@ -143,11 +143,10 @@ def test_maximal_cliques_are_translates_of_clique_C():
     # every maximal clique of the cutoff graph on S_2 that uses a new edge
     # is contained in a translate of clique_C (equal when the translate fits)
     vertices = ball(CTX2, 2)
-    for nu in classes_up_to(CTX2, 2):
-        if nu.rep == E:
-            continue
+    classes = list(classes_up_to(CTX2, 2))
+    for prev, nu in zip(classes, classes[1:]):  # every class after e, with the one before it
         pred_now = EdgePredicate(nu)
-        pred_prev = EdgePredicate(nu.predecessor())
+        pred_prev = EdgePredicate(prev)
         G = nx.Graph()
         G.add_nodes_from(vertices)
         for s, t in itertools.combinations(vertices, 2):

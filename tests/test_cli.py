@@ -473,6 +473,81 @@ def test_pdfun_word_listed_twice_is_bad_input(tmp_path, capfd):
         assert json.loads(err)["detail"] == "'entries' lists the word [1] twice"
 
 
+def test_json_true_is_not_a_letter_of_a_pdfun_word(tmp_path, capfd):
+    h = tmp_path / "h.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
+    doc = jsonio.load_path(h)
+    for entry in doc["entries"]:
+        if entry["word"] == [1]:
+            entry["word"] = [True]
+    jsonio.dump_path(h, doc)
+    code, _, err = run(capfd, "verify", str(h))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == "malformed word [True] for m = 2"
+
+
+def test_json_true_is_not_a_letter_of_an_ncpoly_word(tmp_path, capfd):
+    f = tmp_path / "p.json"
+    doc = shifted_square().to_json_dict()
+    for term in doc["terms"]:
+        if term["word"] == [1]:
+            term["word"] = [True]
+    jsonio.dump_path(f, doc)
+    code, _, err = run(capfd, "factor", str(f), "-o", str(tmp_path / "c.json"))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == "malformed word [True] for m = 1"
+
+
+@pytest.mark.parametrize("order", (["1", -1, 2, -2], [True, -1, 2, -2], [1.0, -1, 2, -2]))
+def test_letter_order_entries_are_json_integers(tmp_path, capfd, order):
+    h = tmp_path / "h.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
+    jsonio.dump_path(h, {**jsonio.load_path(h), "letter_order": order})
+    code, _, err = run(capfd, "verify", str(h))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == f"invalid letter {order[0]!r} for F_2"
+
+
+def test_paths_that_cannot_be_read_or_written_are_bad_input(tmp_path, capfd):
+    h = tmp_path / "h.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
+    for argv in (
+        ["haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h / "x.json")],  # under a file
+        ["verify", "a" * 5000],  # a file name longer than the system allows
+    ):
+        code, _, err = run(capfd, *argv)
+        assert_bad_input(code, err)
+    denied = PermissionError(13, "Permission denied", str(h))  # tests may run as root
+    with mock.patch.object(Path, "read_text", side_effect=denied):
+        code, _, err = run(capfd, "verify", str(h))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == str(denied)
+
+
+def test_json_nested_past_the_recursion_limit_is_bad_input(tmp_path, capfd):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capfd, "verify", str(f))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"].startswith(f"invalid JSON in {f}: maximum recursion depth")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_full_device_is_bad_input(capfd):
+    code, _, err = run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", "/dev/full")
+    assert_bad_input(code, err)
+    assert "No space left on device" in json.loads(err)["detail"]
+
+
+def test_an_array_numpy_refuses_to_allocate_is_bad_input(tmp_path, capfd):
+    # k^2 complex entries take 4 EB, past any 64-bit address space: numpy's
+    # allocation fails at once, whatever the system's overcommit policy
+    argv = ["haagerup", "--m", "2", "--t", "0.7", "--n", "1", "--k", "500000000"]
+    code, _, err = run(capfd, *argv, "-o", str(tmp_path / "h.json"))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"].startswith("Unable to allocate")
+
+
 def replay_with_params(tmp_path, capfd, edit) -> tuple[int, str]:
     """Exit code and stderr of ``extend --params`` from a params.v1 file changed by ``edit``."""
     h, ext, params = (tmp_path / name for name in ("h.json", "ext.json", "params.json"))
@@ -505,6 +580,17 @@ def test_params_radii_are_non_negative_integers(tmp_path, capfd):
             assert json.loads(err)["detail"] == (
                 f"{key!r} must be a non-negative integer, got {value!r}"
             )
+
+
+def test_json_true_is_not_a_letter_of_a_params_class(tmp_path, capfd):
+    def edit(doc):
+        for item in doc["params"]:
+            if item["class"] == [1, 2]:
+                item["class"] = [True, 2]
+
+    code, err = replay_with_params(tmp_path, capfd, edit)
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == "malformed word [True, 2] for m = 2"
 
 
 #: Flag values that reach the program as text, invalid or at a boundary.
@@ -572,10 +658,13 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
     out = str(tmp / "out.json")
 
     def source(*names):
-        """A path to one of the named documents, mutated, or to no file."""
-        name = data.draw(st.sampled_from(names * 3 + ("missing", "directory")))
+        """A path to one of the named documents, mutated, to no file, or under a regular file."""
+        name = data.draw(st.sampled_from(names * 3 + ("missing", "directory", "under a file")))
         if name == "directory":
             return str(tmp)
+        if name == "under a file":
+            (tmp / "file").write_text("")
+            return str(tmp / "file" / "x.json")
         path = tmp / f"{name}.json"
         if name != "missing":
             path.write_text(mutated(data, fuzz_documents()[name]))

@@ -592,6 +592,42 @@ def test_certificate_gram_must_span_the_index(shape):
         certificate_from_json(doc)
 
 
+def test_certificate_index_must_not_be_empty():
+    doc = certificate_doc()
+    doc.update(index=[], gram=[], factors=[])
+    with pytest.raises(jsonio.SchemaError, match="'index' must list at least one word"):
+        certificate_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rows: rows + [[[0.0, 0.0]]],  # three rows where the others have two
+        lambda rows: rows[:1],  # one row
+        lambda rows: [],  # no rows
+        lambda rows: [row + [[0.0, 0.0]] for row in rows],  # two columns for c = 1
+    ],
+    ids=["taller", "shorter", "empty", "wider"],
+)
+def test_certificate_factor_blocks_must_share_one_shape(edit):
+    doc = certificate_doc()  # a rank-2 certificate of a c = 1 polynomial
+    doc["factors"][1]["value"] = edit(doc["factors"][1]["value"])
+    with pytest.raises(jsonio.SchemaError, match=r"'factors' blocks must share one shape \(R, 1\)"):
+        certificate_from_json(doc)
+
+
+def test_rank_0_certificate_json_roundtrip():
+    # p = 0 is certified with no squares: each factor block is (0, c), written as []
+    for c in (1, 2):
+        cert = factor_sos(NcPolynomial(CTX2, c, {}), tol=1e-8)
+        assert cert.rank == 0
+        back = certificate_from_json(json.loads(jsonio.dumps(certificate_to_json(cert))))
+        assert back.rank == 0
+        assert all(back.factors[w].shape == (0, c) for w in back.index)
+        (square,) = split_squares(back)
+        assert square == NcPolynomial(CTX2, c, {})
+
+
 def test_certificate_json_roundtrip():
     cert = factor_sos(P_SHIFTED, tol=1e-8)
     doc = certificate_to_json(cert)

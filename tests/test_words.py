@@ -187,17 +187,13 @@ def test_class_successor_examples():
     assert c.rep == (1, 1)  # first length-2 class
 
 
-def test_class_successor_predecessor_inverse():
+def test_class_successor_walks_the_class_order():
     c = ClassCursor(E, CTX2)
     seen = [c]
     for _ in range(25):
         c = c.successor()
         seen.append(c)
-    for prev, cur in zip(seen, seen[1:]):
-        assert cur.predecessor() == prev
-        assert prev.successor() == cur
-    with pytest.raises(ValueError):
-        ClassCursor(E, CTX2).predecessor()
+    assert seen == list(classes_up_to(CTX2, 3))[:26]
 
 
 def test_class_canonicalization():
@@ -222,12 +218,11 @@ def test_class_enumeration_covers_balls(ctx, n):
 @property_test
 @given(contexts, st.integers(0, 3))
 def test_class_enumeration_nondecreasing_and_distinct(ctx, n):
-    # strictly increasing, and successor/predecessor step through the same sequence
+    # strictly increasing, and successor steps through the same sequence
     cursors = list(classes_up_to(ctx, n))
     for prev, cur in zip(cursors, cursors[1:]):
         assert prev < cur
         assert prev.successor() == cur
-        assert cur.predecessor() == prev
 
 
 def test_ball_counts():
