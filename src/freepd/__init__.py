@@ -17,7 +17,6 @@ from .words import (
     classes_up_to,
     common_beginning,
     inverse,
-    lex_compare,
     make_word,
     mul,
     reduce_word,

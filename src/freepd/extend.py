@@ -37,8 +37,6 @@ from .words import (
     GroupContext,
     Word,
     WordIndex,
-    check_ball_cap,
-    classes_of_length,
 )
 
 #: Oracle contract: (class cursor, defect data) -> contraction parameter
@@ -187,15 +185,14 @@ def extend_to_ball(
     if N < n:
         raise ValueError(f"cannot extend from S_{n} down to S_{N}")
     ctx, k = phi.ctx, phi.k
-    check_ball_cap(ctx.m, N)  # refuse before any work
     index = WordIndex(ctx, N)
     values = WordValues(index, k)
-    reps = np.flatnonzero(~phi.table.index.adj[:-1])  # S_n leads S_N, so the ids carry over
+    reps = phi.table.index.reps  # S_n leads S_N, so the ids carry over
     values.put(reps, phi.table.blocks[reps])
     hidden = np.zeros((k, k), dtype=complex)
     steps: list[ExtensionStep] = []
     for length in range(n + 1, N + 1):
-        for cursor in classes_of_length(ctx, length):
+        for cursor in index.classes(length):
             i = index.ids[cursor.rep]
             values.put(i, hidden)  # a placeholder: the window never reads it
             P, clique = _window(values, cursor)
@@ -229,7 +226,7 @@ def extract_params(
     values = phi.table
     out: dict[ClassCursor, np.ndarray] = {}
     for length in range(n + 1, N + 1):
-        for cursor in classes_of_length(phi.ctx, length):
+        for cursor in values.index.classes(length):
             P, _ = _window(values, cursor)
             out[cursor] = extract_gamma(P, phi.value(cursor.rep), tol)
     return out
@@ -267,7 +264,7 @@ def check_max_orthogonal(phi: PdFunction, n: int, tol: float = 1e-8) -> Orthogon
     index = phi.table.index
     worst = 0.0
     worst_class: ClassCursor | None = None
-    for cursor in classes_of_length(phi.ctx, n + 1):
+    for cursor in index.classes(n + 1):
         t = cursor.rep
         # Sigma lies in S_n, so in lexicographic order e comes first and t last
         S = [E, *sigma_set(phi.ctx, E, t, n, index), t]

@@ -26,22 +26,28 @@ def matrix_to_json(A: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in M]
 
 
+def _finite_number(x) -> bool:
+    """Whether x is a JSON number (``true`` and ``false`` are not) within the float range."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def matrix_from_json(rows, shape: tuple[int, int] | None = None) -> np.ndarray:
-    try:
-        M = np.array(
-            [[complex(float(p[0]), float(p[1])) for p in row] for row in rows],
-            dtype=complex,
-        )
-        if M.ndim == 1:
-            M = M.reshape(0, 0) if M.size == 0 else M
-    except (TypeError, ValueError, IndexError) as exc:
-        raise SchemaError(f"malformed complex matrix: {exc}") from exc
-    if M.ndim != 2:
-        raise SchemaError(f"malformed complex matrix of shape {M.shape}")
+    """The matrix of a list of rows of [re, im] pairs, each two finite JSON numbers.
+
+    ``[]`` is the 0 x 0 matrix and ``[[]]`` the 1 x 0 one.
+    """
+    if not isinstance(rows, list):
+        raise SchemaError(f"a complex matrix must be a list of rows, got {rows!r}")
+    for row in rows:
+        if not isinstance(row, list) or len(row) != len(rows[0]):
+            raise SchemaError(f"malformed complex matrix row {row!r}")
+        for p in row:
+            if not (isinstance(p, list) and len(p) == 2 and all(map(_finite_number, p))):
+                raise SchemaError(f"malformed complex entry {p!r}")
+    M = np.array([[complex(float(re), float(im)) for re, im in row] for row in rows], dtype=complex)
+    M = M.reshape(len(rows), len(rows[0]) if rows else 0)
     if shape is not None and M.shape != tuple(shape):
         raise SchemaError(f"matrix has shape {M.shape}, expected {shape}")
-    if not np.all(np.isfinite(M.view(float))):
-        raise SchemaError("matrix contains non-finite entries")
     return M
 
 
@@ -121,7 +127,7 @@ def natural(doc: dict, key: str) -> int:
 def finite_non_negative(doc: dict, key: str) -> float:
     """``doc[key]``, which must be a finite non-negative JSON number (``false`` is refused)."""
     value = require(doc, key)
-    if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+    if not _finite_number(value) or value < 0:
         raise SchemaError(f"{key!r} must be a finite non-negative number, got {value!r}")
     return float(value)
 

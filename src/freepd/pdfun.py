@@ -37,7 +37,6 @@ from .words import (
     GroupContext,
     Word,
     WordIndex,
-    ball,
     class_rep,
     inverse,
     mul,
@@ -64,9 +63,9 @@ class BallDomain:
             raise ValueError(f"ball radius must be nonnegative, got n = {self.n}")
 
     def class_reps(self, ctx: GroupContext) -> list[Word]:
-        """The class representatives of S_n in lexicographic order: the ``~adj`` ids of its index."""
+        """The class representatives of S_n in lexicographic order."""
         index = WordIndex(ctx, self.n)
-        return [index.words[i] for i in np.flatnonzero(~index.adj[: index.size])]
+        return [index.words[i] for i in index.reps]
 
     def mask(self, index: WordIndex) -> np.ndarray:
         """Which ids of an index of radius at least n lie in the domain."""
@@ -202,7 +201,7 @@ class PdFunction:
         """Restriction to S_n (which must lie inside the current domain)."""
         domain = BallDomain(n)
         table = WordValues(WordIndex(self.ctx, n), self.k)
-        reps = np.flatnonzero(~table.index.adj[: table.index.size])
+        reps = table.index.reps
         # the ids of a smaller ball are the first ids of a larger one; past
         # this table's ball they read its sentinel id, which is never known
         known = self.table.known[np.minimum(reps, self.table.index.size)]
@@ -352,18 +351,12 @@ class VerifyResult:
 
 
 def _witness_sets(phi: PdFunction) -> list[list[Word]]:
-    n = phi.ball_radius()
-    ctx = phi.ctx
-    h = n // 2
-    inner = ball(ctx, h)
+    n, ctx, index = phi.ball_radius(), phi.ctx, phi.table.index
+    inner = index.words[: index.ends[n // 2]]
     if n % 2 == 0:
         return [inner]
-    sets = []
-    for i in ctx.generators():
-        shifted = [mul((i,), w) for w in inner]
-        merged = sorted(set(inner) | set(shifted), key=ctx.sort_key)
-        sets.append(merged)
-    return sets
+    merged = ({*inner, *(mul((i,), w) for w in inner)} for i in ctx.generators())
+    return [sorted(S, key=ctx.sort_key) for S in merged]
 
 
 def verify_pd(
@@ -404,9 +397,12 @@ def toeplitz_of(phi: PdFunction, n: int | None = None) -> GramMatrix:
     radius = phi.ball_radius()
     if n is None:
         n = radius // 2
+    if n < 0:
+        raise ValueError("ball radius must be nonnegative")
     if 2 * n > radius:
         raise DomainError(f"needs values on S_{2 * n}, but the domain is S_{radius}")
-    return gram(phi, ball(phi.ctx, n))
+    index = phi.table.index
+    return gram(phi, index.words[: index.ends[n]])
 
 
 def function_of_toeplitz(
@@ -441,8 +437,7 @@ def function_of_toeplitz(
     if not is_psd(M.blocks, tol):
         raise NotPsdError("the Toeplitz matrix is not positive semidefinite")
     table = WordValues(words, k)
-    reps = np.flatnonzero(~words.adj[: words.size])
-    table.blocks[reps], table.known[reps] = blocks[first[reps]], True
+    table.blocks[words.reps], table.known[words.reps] = blocks[first[words.reps]], True
     return PdFunction._of_table(ctx, k, BallDomain(2 * n), table)
 
 

@@ -69,25 +69,21 @@ def random_pd_function(
     """Random positive definite function on S_n (n in {1, 2}).
 
     For n = 1 the generator values are independent contractions of norm
-    about 0.75.  For n = 2 the off-unit classes get blocks of norm about
-    ``scale`` (default keeps the ball-1 Gram matrix diagonally dominant,
-    so positivity holds with margin and defect spaces stay full rank).
+    0.4 to 0.75, and ``scale`` is not used.  For n = 2 the off-unit classes
+    get blocks of norm about ``scale`` (default keeps the ball-1 Gram matrix
+    diagonally dominant, so positivity holds with margin and defect spaces
+    stay full rank).
     """
-    if n == 1:
-        values = {
-            rep: random_contraction((k, k), rng, norm=rng.uniform(0.4, 0.75))
-            for rep in BallDomain(1).class_reps(ctx)
-            if rep
-        }
-    elif n == 2:
-        if scale is None:
-            scale = 0.4 / (2 * ctx.m)
-        values = {}
-        for rep in BallDomain(2).class_reps(ctx):
-            if not rep:
-                continue
-            values[rep] = random_contraction((k, k), rng, norm=rng.uniform(0.5, 1.0) * scale)
-    else:
+    if n not in (1, 2):
         raise ValueError(f"random_pd_function supports n in (1, 2), got {n}")
+    if n == 1:
+        lo, hi, s = 0.4, 0.75, 1.0
+    else:
+        lo, hi, s = 0.5, 1.0, 0.4 / (2 * ctx.m) if scale is None else scale
+    values = {
+        rep: random_contraction((k, k), rng, norm=rng.uniform(lo, hi) * s)
+        for rep in BallDomain(n).class_reps(ctx)
+        if rep
+    }
     values[()] = np.eye(k, dtype=complex)
     return PdFunction(ctx, k, BallDomain(n), values)

@@ -15,6 +15,7 @@ functions, so this module also provides a cursor over those classes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -147,28 +148,16 @@ def common_beginning(ws: Sequence[Word]) -> Word:
     return first[:n]
 
 
-def lex_compare(s: Word, t: Word, ctx: GroupContext) -> int:
-    """Compare two reduced words: -1, 0 or +1.
-
-    Shorter words come first; words of equal length are compared by the
-    rank of the first letter after their common beginning.
-    """
-    if len(s) != len(t):
-        return -1 if len(s) < len(t) else 1
-    for a, b in zip(s, t):
-        if a != b:
-            return -1 if ctx.rank(a) < ctx.rank(b) else 1
-    return 0
-
-
 def class_rep(s: Word, ctx: GroupContext) -> Word:
-    """The smaller of s and s^-1: canonical representative of the class {s, s^-1}."""
+    """The smaller of s and s^-1: canonical representative of the class {s, s^-1}.
+
+    Both have one length, so the first letter where they differ decides.
+    """
     inv = inverse(s)
-    return s if lex_compare(s, inv, ctx) <= 0 else inv
-
-
-def is_class_rep(s: Word, ctx: GroupContext) -> bool:
-    return lex_compare(s, inverse(s), ctx) <= 0
+    for a, b in zip(s, inv):
+        if a != b:
+            return s if ctx.rank(a) < ctx.rank(b) else inv
+    return s
 
 
 def sphere_size(m: int, n: int) -> int:
@@ -200,42 +189,22 @@ def check_ball_cap(m: int, n: int) -> None:
             )
 
 
-def _spheres(ctx: GroupContext, n: int) -> Iterator[list[Word]]:
-    """The spheres of radius 0, 1, ..., n in turn, each built from the one before.
-
-    Each word of a sphere is followed by its extensions in letter order, so
-    every sphere comes out in lexicographic order.
-    """
-    words = [E]
-    yield words
-    for _ in range(n):
-        words = [w + (x,) for w in words for x in ctx.letter_order if not w or x != -w[-1]]
-        yield words
-
-
 def sphere(ctx: GroupContext, n: int) -> list[Word]:
-    """All reduced words of length exactly n, in lexicographic order."""
-    if n < 0:
-        raise ValueError("sphere radius must be nonnegative")
-    if sphere_size(ctx.m, n) > DEFAULT_BALL_CAP:
-        raise BallSizeError(
-            f"sphere of radius {n} in F_{ctx.m} has {sphere_size(ctx.m, n)} words, "
-            f"above the cap of {DEFAULT_BALL_CAP}"
-        )
-    *_, words = _spheres(ctx, n)
-    return words
+    """All reduced words of length exactly n, in lexicographic order; S_n must respect the cap."""
+    words = ball(ctx, n)
+    return words[len(words) - sphere_size(ctx.m, n) :]
 
 
 def ball(ctx: GroupContext, n: int) -> list[Word]:
     """All reduced words of length at most n, sorted by the lexicographic order."""
-    if n < 0:
-        raise ValueError("ball radius must be nonnegative")
-    check_ball_cap(ctx.m, n)
-    return [w for words in _spheres(ctx, n) for w in words]
+    return WordIndex(ctx, n).words
 
 
 class WordIndex:
-    """The words of S_R numbered in ``ball`` order, with the group law as integer tables.
+    """The words of S_R numbered in lexicographic order, with the group law as integer tables.
+
+    This is the one enumerator of the order: :func:`ball`, :func:`sphere`
+    and the class listings all read it.
 
     ``words[i]`` is the word with id i and ``ids`` maps back; ``size`` = |S_R|
     is also the sentinel id meaning "outside S_R".  Arrays have one entry per
@@ -251,13 +220,16 @@ class WordIndex:
       word is the other member.  Ids follow the lexicographic order, so the
       representative is the member with the smaller id.
 
+    ``reps`` lists the ids of the class representatives, in order, and
     ``ends[r]`` is |S_r|: the ids of S_r are those below it.
     """
 
     def __init__(self, ctx: GroupContext, R: int):
-        self.words = ball(ctx, R)
-        self.ids = {w: i for i, w in enumerate(self.words)}
-        self.size = n = len(self.words)
+        if R < 0:
+            raise ValueError("ball radius must be nonnegative")
+        check_ball_cap(ctx.m, R)
+        self.ctx = ctx
+        self.size = n = ball_size(ctx.m, R)
         unit = 2 * ctx.m
         col = {x: c for c, x in enumerate(ctx.letter_order)}
         flip = np.array([col[-x] for x in ctx.letter_order] + [unit])  # the column of x^-1
@@ -266,11 +238,14 @@ class WordIndex:
         self.first = np.full(n + 1, unit, dtype=np.intp)
         self.suffix = np.arange(n + 1)
         self.inv = np.arange(n + 1)  # e and the sentinel are their own inverses
-        # S_R in ball order: sphere L + 1 lists, for each w of sphere L in turn,
-        # the w x for the letters x != last(w)^-1 in letter order
+        # S_R in lexicographic order: sphere L + 1 lists, for each w of sphere L
+        # in turn, the w x for the letters x != last(w)^-1 in letter order
         parents, last, start = np.zeros(1, dtype=np.intp), np.array([unit]), 1
         self.ends = [start]
+        self.words = layer = [E]
         for L in range(R):
+            layer = [w + (x,) for w in layer for x in ctx.letter_order if not w or x != -w[-1]]
+            self.words += layer
             slots = np.arange(unit - (L > 0))
             cols = slots + (slots >= flip[last][:, None])  # skips the column of last(w)^-1
             children = start + np.arange(cols.size).reshape(cols.shape)
@@ -283,9 +258,17 @@ class WordIndex:
             self.inv[children] = self.times[self.inv[v], flip[self.first[children]]]
             parents, last, start = children.ravel(), cols.ravel(), start + cols.size
             self.ends.append(start)
+        self.ids = {w: i for i, w in enumerate(self.words)}
         ids = np.arange(n + 1)
         self.cls = np.minimum(ids, self.inv)
         self.adj = self.cls != ids
+        self.reps = np.flatnonzero(~self.adj[:n])
+
+    def classes(self, length: int) -> Iterator["ClassCursor"]:
+        """The classes whose representative has the given length, in order."""
+        start = self.ends[length - 1] if length else 0
+        lo, hi = np.searchsorted(self.reps, [start, self.ends[length]])
+        return (ClassCursor(self.words[i], self.ctx) for i in self.reps[lo:hi])
 
     def diffs(self, left, right) -> np.ndarray:
         """The ids of left_i^-1 right_j, for ids in S_R; the sentinel where that lies outside S_R.
@@ -303,6 +286,7 @@ class WordIndex:
         return out
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class ClassCursor:
     """Position in the ordered quotient of F_m by s ~ s^-1.
@@ -333,36 +317,19 @@ class ClassCursor:
         """The smallest class strictly greater than this one."""
         return next(c for c in classes_up_to(self.ctx, self.length + 1) if c > self)
 
-    def _check_ctx(self, other: "ClassCursor"):
+    def __lt__(self, other: "ClassCursor") -> bool:
         if self.ctx != other.ctx:
             raise ValueError("cannot compare cursors over different contexts")
-
-    def __lt__(self, other: "ClassCursor") -> bool:
-        self._check_ctx(other)
         return self.key() < other.key()
-
-    def __le__(self, other: "ClassCursor") -> bool:
-        self._check_ctx(other)
-        return self.key() <= other.key()
-
-    def __gt__(self, other: "ClassCursor") -> bool:
-        return other < self
-
-    def __ge__(self, other: "ClassCursor") -> bool:
-        return other <= self
-
-
-def _class_cursors(ctx: GroupContext, words: list[Word]) -> Iterator[ClassCursor]:
-    return (ClassCursor(w, ctx) for w in words if is_class_rep(w, ctx))
 
 
 def classes_of_length(ctx: GroupContext, n: int) -> Iterator[ClassCursor]:
-    """All classes whose representative has length exactly n, in order."""
-    yield from _class_cursors(ctx, sphere(ctx, n))
+    """All classes whose representative has length exactly n, in order; S_n must respect the cap."""
+    yield from WordIndex(ctx, n).classes(n)
 
 
 def classes_up_to(ctx: GroupContext, n: int) -> Iterator[ClassCursor]:
     """All classes of length at most n, in increasing order; S_n must respect the ball cap."""
-    check_ball_cap(ctx.m, n)
-    for words in _spheres(ctx, n):
-        yield from _class_cursors(ctx, words)
+    index = WordIndex(ctx, n)
+    for length in range(n + 1):
+        yield from index.classes(length)

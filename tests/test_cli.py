@@ -508,6 +508,40 @@ def test_letter_order_entries_are_json_integers(tmp_path, capfd, order):
     assert json.loads(err)["detail"] == f"invalid letter {order[0]!r} for F_2"
 
 
+#: Entry values that are not rows of [re, im] pairs of finite JSON numbers, each with the entry to name.
+BAD_ENTRIES = {
+    "three-numbers": ([[[0.5, 0.0, 7.0]]], [0.5, 0.0, 7.0]),
+    "booleans": ([[[True, False]]], [True, False]),
+    "strings": ([[["0.5", "0"]]], ["0.5", "0"]),
+    "string": ([["50"]], "50"),
+    "object": ([[{"0": 1, "1": 2}]], {"0": 1, "1": 2}),
+    "beyond-float-range": ([[[10**400, 0.0]]], [10**400, 0.0]),
+}
+
+
+@pytest.mark.parametrize("value, entry", BAD_ENTRIES.values(), ids=BAD_ENTRIES)
+def test_complex_entries_are_pairs_of_finite_json_numbers(tmp_path, capfd, value, entry):
+    h = tmp_path / "h.json"
+    run(capfd, "haagerup", "--m", "1", "--t", "0.6", "--n", "1", "-o", str(h))
+    doc = jsonio.load_path(h)
+    assert doc["entries"][1]["word"] == [1]
+    doc["entries"][1]["value"] = value
+    jsonio.dump_path(h, doc)
+    code, _, err = run(capfd, "verify", str(h))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == f"malformed complex entry {entry!r}"
+
+
+def test_sample_refuses_a_coefficient_beyond_the_float_range(tmp_path, capfd):
+    f = tmp_path / "p.json"
+    doc = shifted_square().to_json_dict()
+    doc["terms"][0]["value"] = [[[10**400, 0.0]]]
+    jsonio.dump_path(f, doc)
+    code, _, err = run(capfd, "sample", str(f))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == f"malformed complex entry {[10**400, 0.0]!r}"
+
+
 def test_paths_that_cannot_be_read_or_written_are_bad_input(tmp_path, capfd):
     h = tmp_path / "h.json"
     run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
@@ -600,7 +634,7 @@ ODD_VALUES = ("nan", "inf", "-inf", "-1", "0", "-1e-8", "1e-8", "x")
 ODD_SIZES = (*ODD_VALUES, "1000000000000")
 
 #: What a mutated JSON document may hold in place of one of its values.
-JUNK = (None, True, "x", -1, 0, 1, 2, 10**12, 0.5, float("nan"), [], {}, [0], [[[1.0, 0.0]]], [1, -1, 2, -2])
+JUNK = (None, True, "x", -1, 0, 1, 2, 10**12, 10**400, 0.5, float("nan"), [], {}, [0], [[[1.0, 0.0]]], [1, -1, 2, -2])
 
 
 @functools.cache

@@ -161,7 +161,8 @@ def test_params_json_replays_empty_parameters():
 
 def test_each_new_function_builds_at_most_one_word_index():
     # the engine, restriction and the Toeplitz inverse hand the result the
-    # table they filled, and radialization reuses its input's index
+    # table they filled, radialization reuses its input's index, and the
+    # checks and readers of a function build none
     phi = random_pd_function(CTX2, 1, 2, RNG)
     builds = []
     init = WordIndex.__init__
@@ -176,6 +177,9 @@ def test_each_new_function_builds_at_most_one_word_index():
         assert radialize(ext).table.index is ext.table.index
         small = ext.restricted_to_ball(2)
         M = toeplitz_of(ext)
+        assert verify_pd(ext)
+        check_max_orthogonal(ext, 3)
+        assert len(extract_params(ext, 2)) == 18 + 54  # the classes of lengths 3 and 4
         assert builds == [4, 2]
         assert function_of_toeplitz(M, CTX2) == ext
         assert builds == [4, 2, 4]

@@ -290,6 +290,8 @@ def test_toeplitz_roundtrip_exact():
     assert back == phi
     M2 = toeplitz_of(back)
     assert np.array_equal(M.blocks, M2.blocks)
+    with pytest.raises(ValueError, match="nonnegative"):
+        toeplitz_of(phi, -1)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from freepd.words import (
     common_beginning,
     default_letter_order,
     inverse,
-    lex_compare,
     make_word,
     mul,
     reduce_word,
@@ -35,6 +35,12 @@ contexts = st.sampled_from((1, 2, 3)).flatmap(
 
 def reduced_words(ctx: GroupContext, max_letters: int = 6):
     return st.lists(st.sampled_from(ctx.letter_order), max_size=max_letters).map(reduce_word)
+
+
+def brute_force_ball(ctx: GroupContext, R: int) -> list:
+    """The reduced products of at most R letters, sorted by ``sort_key``: S_R without the enumerator."""
+    products = (itertools.product(ctx.letter_order, repeat=r) for r in range(R + 1))
+    return sorted({reduce_word(p) for ps in products for p in ps}, key=ctx.sort_key)
 
 
 property_test = settings(derandomize=True, max_examples=60, deadline=None)
@@ -89,23 +95,27 @@ def test_common_beginning_permutation_invariant():
         assert common_beginning(list(perm)) == base
 
 
-def test_lex_compare_examples():
-    assert lex_compare((1,), (1, 1), CTX2) == -1  # shorter first
-    assert lex_compare((1, 1), (-1, -1), CTX2) == -1  # a1 before a1^-1
+def test_order_examples():
+    assert CTX2.sort_key((-2,)) < CTX2.sort_key((1, 1))  # shorter first
+    assert CTX2.sort_key((1, 1)) < CTX2.sort_key((-1, -1))  # a1 before a1^-1
+    assert class_rep((-1, -1), CTX2) == (1, 1)
     s = (1, -2, 1)
-    assert lex_compare(s, s, CTX2) == 0
+    assert class_rep(s, CTX2) == s == class_rep(inverse(s), CTX2)
+    assert class_rep(E, CTX2) == E
+    # a permuted letter order puts a1^-1 first
+    ctx = GroupContext(2, (-1, 2, 1, -2))
+    assert ctx.sort_key((-1, -1)) < ctx.sort_key((2, 2)) < ctx.sort_key((1, 1))
+    assert class_rep((1, 1), ctx) == (-1, -1)
+    assert class_rep(s, ctx) == inverse(s)
 
 
 @property_test
 @given(st.data())
-def test_lex_compare_total_order(data):
-    # the sign of lex_compare is the sort_key comparison, a total order
+def test_class_rep_is_the_smaller_member(data):
     ctx = data.draw(contexts)
-    a, b = data.draw(reduced_words(ctx)), data.draw(reduced_words(ctx))
-    ka, kb = ctx.sort_key(a), ctx.sort_key(b)
-    assert lex_compare(a, b, ctx) == (ka > kb) - (ka < kb)
-    assert lex_compare(b, a, ctx) == -lex_compare(a, b, ctx)
-    assert lex_compare(a, a, ctx) == 0
+    s = data.draw(reduced_words(ctx))
+    assert class_rep(s, ctx) == min(s, inverse(s), key=ctx.sort_key)
+    assert class_rep(inverse(s), ctx) == class_rep(s, ctx)
 
 
 @property_test
@@ -125,7 +135,7 @@ def test_word_index_tables_follow_the_group_law(data):
     ctx = data.draw(contexts)
     R = data.draw(st.integers(0, 4))
     index = WordIndex(ctx, R)
-    assert index.words == ball(ctx, R)
+    assert index.words == brute_force_ball(ctx, R)
     assert all(index.ids[w] == i for i, w in enumerate(index.words))
     ids = st.integers(0, index.size - 1)
     left, right = data.draw(st.lists(ids, max_size=6)), data.draw(st.lists(ids, max_size=6))
@@ -196,6 +206,13 @@ def test_class_successor_walks_the_class_order():
     assert seen == list(classes_up_to(CTX2, 3))[:26]
 
 
+def test_cursors_over_different_contexts_do_not_compare():
+    a, b = ClassCursor((1,), CTX2), ClassCursor((1,), GroupContext(2, (-1, 1, 2, -2)))
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(ValueError, match="different contexts"):
+            compare(a, b)
+
+
 def test_class_canonicalization():
     c = ClassCursor((-1, -1), CTX2)
     assert c.rep == (1, 1)
@@ -213,6 +230,15 @@ def test_class_enumeration_covers_balls(ctx, n):
         members.extend(cur.members())
     assert len(members) == len(set(members))
     assert set(members) == set(ball(ctx, n))
+
+
+@property_test
+@given(contexts, st.integers(0, 4))
+def test_class_listings_match_brute_force(ctx, n):
+    reps = sorted({min(w, inverse(w), key=ctx.sort_key) for w in brute_force_ball(ctx, n)}, key=ctx.sort_key)
+    assert [cur.rep for cur in classes_up_to(ctx, n)] == reps
+    for length in range(n + 1):
+        assert [cur.rep for cur in classes_of_length(ctx, length)] == [r for r in reps if len(r) == length]
 
 
 @property_test
