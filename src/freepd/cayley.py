@@ -6,14 +6,13 @@ a class cutoff nu, the graph Gamma_nu joins s and t whenever the class of
 s^-1 t is at most nu; these graphs interpolate between the tree and its
 distance-n powers, and each new cutoff adds the translates of a single
 clique.  Chordality of the induced finite graphs is what makes the
-one-entry-at-a-time completion of Gram matrices sound, so a checker for
-it is provided as a test oracle.
+one-entry-at-a-time completion of Gram matrices sound; the tests check it
+with networkx on the graphs that :class:`EdgePredicate` defines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -107,35 +106,3 @@ def sigma_set(
     if s == E:
         return out
     return sorted((mul(s, u) for u in out), key=ctx.sort_key)
-
-
-def is_chordal(
-    vertices: Sequence[Hashable], adjacent: Callable[[Hashable, Hashable], bool]
-) -> bool:
-    """Whether the finite graph induced on ``vertices`` is chordal.
-
-    Repeatedly eliminates simplicial vertices (vertices whose neighbourhood
-    is a clique); the graph is chordal iff the elimination empties it.
-    O(V^3)-ish, intended as a test oracle on desk-scale graphs.
-    """
-    n = len(vertices)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adjacent(vertices[i], vertices[j]):
-                adj[i, j] = adj[j, i] = True
-    alive = np.ones(n, dtype=bool)
-    for _ in range(n):
-        eliminated = False
-        for v in np.flatnonzero(alive):
-            nb = np.flatnonzero(adj[v] & alive)
-            sub = adj[np.ix_(nb, nb)]
-            if np.all(sub | np.eye(len(nb), dtype=bool)):
-                alive[v] = False
-                adj[v, :] = False
-                adj[:, v] = False
-                eliminated = True
-                break
-        if not eliminated:
-            return not alive.any()
-    return True

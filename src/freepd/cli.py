@@ -119,9 +119,11 @@ def cmd_verify(args) -> int:
 def cmd_extend(args) -> int:
     phi = _load_pdfun(args.input)
     if args.params:
-        ctx, k, _, _, params = params_from_json(jsonio.load_path(args.params))
+        ctx, k, from_n, _, params = params_from_json(jsonio.load_path(args.params))
         if ctx != phi.ctx or k != phi.k:
             raise CliInputError("parameter file context does not match the input function")
+        if from_n != phi.ball_radius():
+            raise CliInputError(f"parameters start at S_{from_n}, the input is S_{phi.ball_radius()}")
         oracle = oracle_from_params(params)
     elif args.random_oracle:
         oracle = random_gamma_oracle(args.seed)

@@ -126,13 +126,18 @@ def params_to_json(
 
 def params_from_json(doc: dict) -> tuple[GroupContext, int, int, int, dict[ClassCursor, np.ndarray]]:
     ctx, k = jsonio.read_header(doc, "params.v1")
+    from_n, to_n = jsonio.natural(doc, "from_n"), jsonio.natural(doc, "to_n")
+    if from_n > to_n:
+        raise jsonio.SchemaError(f"'from_n' = {from_n} exceeds 'to_n' = {to_n}")
     params: dict[ClassCursor, np.ndarray] = {}
     for item in jsonio.require(doc, "params", list):
         cursor = ClassCursor(jsonio.word_from_json(jsonio.require(item, "class"), ctx.m), ctx)
+        if not from_n < cursor.length <= to_n:
+            raise jsonio.SchemaError(f"class {cursor.rep} has a length outside ({from_n}, {to_n}]")
         if cursor in params:
             raise jsonio.SchemaError(f"'params' names the class of {cursor.rep} twice")
         params[cursor] = jsonio.matrix_from_json(jsonio.require(item, "gamma"))
-    return ctx, k, jsonio.natural(doc, "from_n"), jsonio.natural(doc, "to_n"), params
+    return ctx, k, from_n, to_n, params
 
 
 def trace_from_json(doc: dict) -> ExtensionTrace:

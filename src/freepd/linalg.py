@@ -113,10 +113,7 @@ def _gram_factors(M: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
 
 def pinv(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with relative singular-value cutoff."""
-    M = as_matrix(A)
-    if M.size == 0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
-    return np.linalg.pinv(M, rcond=tol.rank_eps)
+    return np.linalg.pinv(as_matrix(A), rcond=tol.rank_eps)
 
 
 def psd_project(A) -> np.ndarray:

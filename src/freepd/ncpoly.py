@@ -417,7 +417,7 @@ def _gauss_newton_polish(prob: _GramProblem, B0: np.ndarray, tol: float) -> tupl
 def _certificate(prob, m, B, iterations) -> SosCertificate:
     c = prob.c
     drop = np.abs(B).max(axis=1, initial=0.0) > 0.0
-    B = B[drop] if B.size else B
+    B = B[drop]
     gram = B.conj().T @ B
     factors = {w: B[:, i * c : (i + 1) * c].copy() for i, w in enumerate(prob.index)}
     return SosCertificate(
@@ -426,7 +426,7 @@ def _certificate(prob, m, B, iterations) -> SosCertificate:
         c=c,
         gram=gram,
         factors=factors,
-        residual=prob.affine_gap(B.conj().T @ B),
+        residual=prob.affine_gap(gram),
         iterations=iterations,
     )
 
@@ -514,24 +514,17 @@ def _top_rank_factor(G: np.ndarray) -> np.ndarray:
 def split_squares(cert: SosCertificate) -> list[NcPolynomial]:
     """Slice a certificate into square polynomials with sum_j Q_j* Q_j = p.
 
-    The factor rows are grouped c at a time (the last group zero-padded),
-    each group giving one polynomial Q_j.
+    The factor rows are zero-padded to a multiple of c (at least c) and
+    grouped c at a time, each group giving one polynomial Q_j.
     """
-    c = cert.c
-    some = next(iter(cert.factors.values()))
-    R = some.shape[0]
-    n_groups = max(1, -(-R // c))
+    c, R = cert.c, cert.rank
+    rows = max(1, -(-R // c)) * c
+    padded = {w: np.pad(B, ((0, rows - R), (0, 0))) for w, B in cert.factors.items()}
     ctx = GroupContext(cert.m)
-    out = []
-    for g in range(n_groups):
-        terms = {}
-        for w, B in cert.factors.items():
-            rows = B[g * c : (g + 1) * c]
-            if rows.shape[0] < c:
-                rows = np.vstack([rows, np.zeros((c - rows.shape[0], c), dtype=complex)])
-            terms[w] = rows
-        out.append(NcPolynomial(ctx, c, terms))
-    return out
+    return [
+        NcPolynomial(ctx, c, {w: B[g : g + c] for w, B in padded.items()})
+        for g in range(0, rows, c)
+    ]
 
 
 def certificate_to_json(cert: SosCertificate) -> dict:

@@ -49,7 +49,7 @@ class MissingValueError(KeyError):
 
 
 class DomainError(ValueError):
-    """The function's domain is unsuitable for the requested operation."""
+    """A domain unsuitable for the requested operation, or a class of it without a value."""
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class PdFunction:
         mask = domain.mask(index)
         missing = np.flatnonzero(mask & ~table.known & ~index.adj)
         if missing.size:
-            raise ValueError(
+            raise DomainError(
                 f"domain {domain.describe()} needs a value at {index.words[missing[0]]} "
                 f"({missing.size} classes missing)"
             )
@@ -201,14 +201,11 @@ class PdFunction:
         """Restriction to S_n (which must lie inside the current domain)."""
         domain = BallDomain(n)
         table = WordValues(WordIndex(self.ctx, n), self.k)
-        reps = table.index.reps
         # the ids of a smaller ball are the first ids of a larger one; past
         # this table's ball they read its sentinel id, which is never known
-        known = self.table.known[np.minimum(reps, self.table.index.size)]
-        if not known.all():
-            missing = table.index.words[reps[np.argmin(known)]]
-            raise DomainError(f"domain does not contain S_{n}: missing {missing}")
-        table.blocks[reps], table.known[reps] = self.table.blocks[reps], True
+        reps = table.index.reps
+        ids = np.minimum(reps, self.table.index.size)
+        table.blocks[reps], table.known[reps] = self.table.blocks[ids], self.table.known[ids]
         return PdFunction._of_table(self.ctx, self.k, domain, table)
 
     def ball_radius(self) -> int:

@@ -59,27 +59,21 @@ def random_gamma_oracle(seed: int):
     return oracle
 
 
-def random_pd_function(
-    ctx: GroupContext,
-    k: int,
-    n: int,
-    rng: np.random.Generator,
-    scale: float | None = None,
-) -> PdFunction:
+def random_pd_function(ctx: GroupContext, k: int, n: int, rng: np.random.Generator) -> PdFunction:
     """Random positive definite function on S_n (n in {1, 2}).
 
     For n = 1 the generator values are independent contractions of norm
-    0.4 to 0.75, and ``scale`` is not used.  For n = 2 the off-unit classes
-    get blocks of norm about ``scale`` (default keeps the ball-1 Gram matrix
-    diagonally dominant, so positivity holds with margin and defect spaces
-    stay full rank).
+    0.4 to 0.75.  For n = 2 the off-unit classes get blocks of norm 0.5 to
+    1 times 0.4/(2m), which keeps the ball-1 Gram matrix diagonally
+    dominant, so positivity holds with margin and defect spaces stay full
+    rank.
     """
     if n not in (1, 2):
         raise ValueError(f"random_pd_function supports n in (1, 2), got {n}")
     if n == 1:
         lo, hi, s = 0.4, 0.75, 1.0
     else:
-        lo, hi, s = 0.5, 1.0, 0.4 / (2 * ctx.m) if scale is None else scale
+        lo, hi, s = 0.5, 1.0, 0.4 / (2 * ctx.m)
     values = {
         rep: random_contraction((k, k), rng, norm=rng.uniform(lo, hi) * s)
         for rep in BallDomain(n).class_reps(ctx)

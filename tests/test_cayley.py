@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freepd.cayley import EdgePredicate, clique_C, distance, is_chordal, sigma_set, tree_median
+from freepd.cayley import EdgePredicate, clique_C, distance, sigma_set, tree_median
 from freepd.words import (
     E,
     ClassCursor,
@@ -26,6 +26,15 @@ contexts = st.sampled_from((1, 2, 3)).flatmap(
 )
 
 property_test = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def cutoff_graph(words, nu):
+    """The cutoff graph Gamma_nu induced on ``words``, as a networkx graph."""
+    edge = EdgePredicate(nu)
+    G = nx.Graph()
+    G.add_nodes_from(words)
+    G.add_edges_from((s, t) for s, t in itertools.combinations(words, 2) if edge(s, t))
+    return G
 
 
 def draw_word(data, ctx: GroupContext, length: int):
@@ -145,13 +154,8 @@ def test_maximal_cliques_are_translates_of_clique_C():
     vertices = ball(CTX2, 2)
     classes = list(classes_up_to(CTX2, 2))
     for prev, nu in zip(classes, classes[1:]):  # every class after e, with the one before it
-        pred_now = EdgePredicate(nu)
         pred_prev = EdgePredicate(prev)
-        G = nx.Graph()
-        G.add_nodes_from(vertices)
-        for s, t in itertools.combinations(vertices, 2):
-            if pred_now(s, t):
-                G.add_edge(s, t)
+        G = cutoff_graph(vertices, nu)
         C_nu = clique_C(nu)
         for K in nx.find_cliques(G):
             new = [
@@ -171,45 +175,10 @@ def test_maximal_cliques_are_translates_of_clique_C():
                 assert set(K) == translate
 
 
-def test_chordal_examples():
-    S3 = ball(CTX2, 3)
-    last_len2 = None
-    for nu in classes_up_to(CTX2, 2):
-        last_len2 = nu
-    assert is_chordal(S3, EdgePredicate(last_len2))  # distance-2 power of the tree
-    verts = ["a", "b", "c", "d"]
-    cycle = {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")}
-    assert not is_chordal(verts, lambda x, y: (x, y) in cycle or (y, x) in cycle)
-    assert is_chordal(verts, lambda x, y: True)
-    assert is_chordal([], lambda x, y: True)
-
-
 def test_chordal_all_cutoffs_on_S3():
     S3 = ball(CTX2, 3)
     for nu in classes_up_to(CTX2, 3):
-        assert is_chordal(S3, EdgePredicate(nu)), nu.rep
-
-
-def test_chordal_agrees_with_networkx_oracle():
-    # independent oracle: networkx's chordality test on random graphs
-    import random
-
-    rnd = random.Random(21)
-    for trial in range(40):
-        n = rnd.randint(4, 12)
-        p = rnd.uniform(0.2, 0.8)
-        edges = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rnd.random() < p
-        }
-        G = nx.Graph()
-        G.add_nodes_from(range(n))
-        G.add_edges_from(edges)
-        expected = nx.is_chordal(G)
-        got = is_chordal(list(range(n)), lambda a, b: (a, b) in edges or (b, a) in edges)
-        assert got == expected, (n, sorted(edges))
+        assert nx.is_chordal(cutoff_graph(S3, nu)), nu.rep
 
 
 def test_sigma_set_examples():

@@ -91,6 +91,22 @@ def test_verify_rejects_non_positive(tmp_path, capfd):
     assert diag["witness"]
 
 
+def test_missing_class_is_bad_input(tmp_path, capfd):
+    f = tmp_path / "short.json"
+    doc = {
+        "schema": "pdfun.v1",
+        "m": 2,
+        "k": 1,
+        "letter_order": [1, -1, 2, -2],
+        "domain": {"type": "ball", "n": 1},
+        "entries": [{"word": [], "value": [[[1.0, 0.0]]]}, {"word": [1], "value": [[[0.5, 0.0]]]}],
+    }
+    jsonio.dump_path(f, doc)
+    code, _, err = run(capfd, "verify", str(f))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == "domain ball(1) needs a value at (2,) (1 classes missing)"
+
+
 def test_malformed_input_exits_2(tmp_path, capfd):
     f = tmp_path / "junk.json"
     f.write_text("{not json")
@@ -614,6 +630,43 @@ def test_params_radii_are_non_negative_integers(tmp_path, capfd):
             assert json.loads(err)["detail"] == (
                 f"{key!r} must be a non-negative integer, got {value!r}"
             )
+
+
+def test_params_from_another_radius_is_bad_input(tmp_path, capfd):
+    # parameters extracted from S_1 would skip the input's own length-2
+    # classes on an S_2 input; a longer file replays its first classes
+    h1, h2, ext, params, out, full = (
+        tmp_path / f"{name}.json" for name in ("h1", "h2", "ext", "params", "out", "full")
+    )
+    run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "1", "-o", str(h1))
+    run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "2", "-o", str(h2))
+    run(capfd, "extend", str(h1), "--to", "3", "--random-oracle", "--seed", "5", "-o", str(ext))
+    run(capfd, "params", str(ext), "--from", "1", "-o", str(params))
+    code, _, err = run(capfd, "extend", str(h2), "--to", "3", "--params", str(params), "-o", str(out))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == "parameters start at S_1, the input is S_2"
+    assert not out.exists()
+    for to, f in (("2", out), ("3", full)):
+        code, _, _ = run(capfd, "extend", str(h1), "--to", to, "--params", str(params), "-o", str(f))
+        assert code == 0
+    short, longer = (jsonio.load_path(f)["entries"] for f in (out, full))
+    assert short == [item for item in longer if len(item["word"]) <= 2]
+
+
+def test_params_from_n_above_to_n_is_bad_input(tmp_path, capfd):
+    code, err = replay_with_params(tmp_path, capfd, lambda doc: doc.update(from_n=3))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == "'from_n' = 3 exceeds 'to_n' = 2"
+
+
+def test_params_class_outside_the_radii_is_bad_input(tmp_path, capfd):
+    # the file runs from S_1 to S_2, so its classes have length 2
+    for word in ([1], [1, 1, 1]):
+        code, err = replay_with_params(
+            tmp_path, capfd, lambda doc: doc["params"].append({"class": word, "gamma": [[[0.0, 0.0]]]})
+        )
+        assert_bad_input(code, err)
+        assert json.loads(err)["detail"] == f"class {tuple(word)} has a length outside (1, 2]"
 
 
 def test_json_true_is_not_a_letter_of_a_params_class(tmp_path, capfd):

@@ -513,6 +513,27 @@ def test_split_single_square_when_rank_c():
     assert len(qs) == max(1, -(-cert.rank // cert.c))
 
 
+def test_split_squares_pads_the_last_square():
+    # c = 2 over the index S_1 of F_2: the factor rows go c at a time into
+    # the squares, the last group zero-padded, and the squares resum to the
+    # polynomial of the Gram matrix
+    rng = np.random.default_rng(4)
+    index, c = tuple(ball(CTX2, 1)), 2
+    for R in (0, 2, 3, 5):
+        B = rng.normal(size=(R, len(index) * c)) + 1j * rng.normal(size=(R, len(index) * c))
+        G = B.conj().T @ B
+        factors = {w: B[:, i * c : (i + 1) * c] for i, w in enumerate(index)}
+        qs = split_squares(SosCertificate(index, 2, c, G, factors, residual=0.0, iterations=1))
+        assert len(qs) == max(1, -(-R // c))
+        p = {}
+        for i, s in enumerate(index):
+            for j, t in enumerate(index):
+                w = mul(inverse(s), t)
+                p[w] = p.get(w, 0) + G[i * c : (i + 1) * c, j * c : (j + 1) * c]
+        total = sum((Q.adjoint() * Q for Q in qs[1:]), qs[0].adjoint() * qs[0])
+        assert (NcPolynomial(CTX2, c, p) - total).max_coefficient_norm() <= 1e-10
+
+
 def test_zero_polynomial():
     zero = NcPolynomial(CTX1, 1, {})
     cert = factor_sos(zero, tol=1e-10, max_iter=100)

@@ -125,7 +125,7 @@ def test_values_are_filed_once_per_class(data):
         for rep, B in expected.items():
             if rep != dropped:
                 give(values, rep, B)
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(DomainError) as exc:
             PdFunction(ctx, k, domain, values)
         assert exc.value.args[0] == (
             f"domain {domain.describe()} needs a value at {dropped} (1 classes missing)"
@@ -412,5 +412,6 @@ def test_restriction():
     assert phi2.ball_radius() == 2
     for w in ball(CTX2, 2):
         assert np.array_equal(phi2.value(w), phi.value(w))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         phi2.restricted_to_ball(3)
+    assert exc.value.args[0] == "domain ball(3) needs a value at (1, 1, 1) (18 classes missing)"
