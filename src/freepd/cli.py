@@ -30,7 +30,7 @@ from .extend import (
     params_to_json,
     zero_oracle,
 )
-from .linalg import DEFAULT_TOL, NotHermitianError, NotPsdError, Tolerance
+from .linalg import DEFAULT_TOL, RESIDUAL_TOL, NotHermitianError, NotPsdError, Tolerance
 from .ncpoly import (
     InfeasibleReport,
     certificate_to_json,
@@ -81,7 +81,7 @@ def _tol(args, default: float) -> float:
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(psd_eps=_tol(args, DEFAULT_TOL.psd_eps), rank_eps=DEFAULT_TOL.rank_eps)
+    return Tolerance(psd_eps=_tol(args, DEFAULT_TOL.psd_eps))
 
 
 def _load_pdfun(path):
@@ -117,6 +117,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    if args.seed is not None and not args.random_oracle:
+        raise CliInputError("--seed needs --random-oracle")
     phi = _load_pdfun(args.input)
     if args.params:
         ctx, k, from_n, _, params = params_from_json(jsonio.load_path(args.params))
@@ -126,7 +128,7 @@ def cmd_extend(args) -> int:
             raise CliInputError(f"parameters start at S_{from_n}, the input is S_{phi.ball_radius()}")
         oracle = oracle_from_params(params)
     elif args.random_oracle:
-        oracle = random_gamma_oracle(args.seed)
+        oracle = random_gamma_oracle(args.seed or 0)
     else:
         oracle = zero_oracle
     try:
@@ -149,7 +151,7 @@ def cmd_params(args) -> int:
 
 def cmd_check_ortho(args) -> int:
     phi = _load_pdfun(args.input)
-    report = check_max_orthogonal(phi, args.level, tol=_tol(args, 1e-8))
+    report = check_max_orthogonal(phi, args.level, tol=_tol(args, RESIDUAL_TOL))
     out = {
         "ok": report.ok,
         "worst_violation": report.worst_violation,
@@ -183,7 +185,7 @@ def cmd_radialize(args) -> int:
 
 def cmd_factor(args) -> int:
     p = ncpolynomial_from_json(jsonio.load_path(args.input))
-    result = factor_sos(p, tol=_tol(args, 1e-8), max_iter=args.max_iter)
+    result = factor_sos(p, tol=_tol(args, RESIDUAL_TOL), max_iter=args.max_iter)
     if isinstance(result, InfeasibleReport):
         if result.witness is not None:
             detail = (
@@ -227,12 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tol(p):
-        p.add_argument("--tol", type=float, default=None, help="relative tolerance override")
+    def add_tol(p, bound: str, default: float):
+        p.add_argument("--tol", type=float, default=None, help=f"{bound} (default {default:g})")
+
+    window_floor = "relative PSD floor of the positivity tests of each completion window"
 
     p = sub.add_parser("verify", help="check positive definiteness of a pdfun.v1 file")
     p.add_argument("input")
-    add_tol(p)
+    add_tol(
+        p,
+        "relative PSD floor: a Gram eigenvalue below -TOL * max(1, max |eigenvalue|) fails",
+        DEFAULT_TOL.psd_eps,
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("extend", help="extend a function to a larger ball")
@@ -242,23 +250,23 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--central", action="store_true", help="zero parameters (default)")
     oracle.add_argument("--params", default=None, help="params.v1 file with an explicit sequence")
     oracle.add_argument("--random-oracle", action="store_true", help="seeded random contractions")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="seed of --random-oracle (default 0)")
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--trace", default=None, help="write a trace.v1 audit file")
-    add_tol(p)
+    add_tol(p, window_floor, DEFAULT_TOL.psd_eps)
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("params", help="extract the contraction sequence of a function")
     p.add_argument("input")
     p.add_argument("--from", dest="from_n", type=int, required=True, help="base radius n")
     p.add_argument("--output", "-o", required=True)
-    add_tol(p)
+    add_tol(p, window_floor, DEFAULT_TOL.psd_eps)
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("check-ortho", help="check the central-extension orthogonality")
     p.add_argument("input")
     p.add_argument("--level", type=int, required=True, help="check the gap at level + 1")
-    add_tol(p)
+    add_tol(p, "absolute bound on the spectral norm of each residual pairing", RESIDUAL_TOL)
     p.set_defaults(func=cmd_check_ortho)
 
     p = sub.add_parser("haagerup", help="write the radial function exp(-t|s|) I on a ball")
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--max-iter", type=int, default=20_000)
-    add_tol(p)
+    add_tol(p, "absolute bound on the spectral norm of each coefficient residual", RESIDUAL_TOL)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("sample", help="sample eigenvalues of p(U) over random unitaries")

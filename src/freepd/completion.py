@@ -38,10 +38,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, _check_hermitian, _gram_factors, as_matrix, is_psd, pinv
-
-#: Operator-norm overshoot treated as floating-point noise and renormalized.
-GAMMA_NORM_SLACK = 1e-9
+from .linalg import (
+    DEFAULT_TOL,
+    EXTRACT_NORM_SLACK,
+    GAMMA_NORM_SLACK,
+    Tolerance,
+    _check_hermitian,
+    _gram_factors,
+    _renormalized,
+    as_matrix,
+    is_psd,
+    pinv,
+)
 
 
 class PartialPositivityError(ValueError):
@@ -187,17 +195,6 @@ def _coerce_gamma(gamma, shape: tuple[int, int]) -> np.ndarray:
     return _renormalized(g, GAMMA_NORM_SLACK, ContractionNormError, message)
 
 
-def _renormalized(g: np.ndarray, slack: float, error: type, message: str) -> np.ndarray:
-    """g scaled back to operator norm 1, or ``error(message.format(norm))`` beyond 1 + slack."""
-    if g.any():  # a zero g has norm 0: no SVD
-        norm = np.linalg.norm(g, 2)
-        if norm > 1.0 + slack:
-            raise error(message.format(norm))
-        if norm > 1.0:
-            g = g / norm
-    return g
-
-
 def complete(
     P: PartialBlockMatrix, gamma, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
@@ -205,8 +202,8 @@ def complete(
 
     The missing entry is filled with central + F_k* gamma F_l; gamma = 0
     gives the central (maximum-entropy-like) completion.  Overshoots of
-    the unit norm up to 1e-9 are renormalized silently, anything larger is
-    an error.
+    the unit norm up to ``GAMMA_NORM_SLACK`` are renormalized silently,
+    anything larger is an error.
     """
     dd = analyze(P, tol)
     g = _coerce_gamma(gamma, dd.gamma_shape)
@@ -229,9 +226,9 @@ def extract_gamma(
         raise ValueError(f"filled entry has shape {F.shape}, expected {(P.k, P.k)}")
     if not is_psd(P.completed_with(F), tol):
         raise CompletionError("the proposed entry does not give a PSD completion")
-    g = pinv(dd.defect_k.conj().T, tol) @ (F - dd.central) @ pinv(dd.defect_l, tol)
+    g = pinv(dd.defect_k.conj().T) @ (F - dd.central) @ pinv(dd.defect_l)
     message = (
         "extracted parameter has operator norm {:.6g}; "
         "the completion is inconsistent with the defect geometry"
     )
-    return _renormalized(g, 1e-6, CompletionError, message)
+    return _renormalized(g, EXTRACT_NORM_SLACK, CompletionError, message)

@@ -29,7 +29,7 @@ from .completion import (
     complete,
     extract_gamma,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, RESIDUAL_TOL, Tolerance
 from .pdfun import BallDomain, PdFunction, WordValues, gram
 from .words import (
     E,
@@ -249,7 +249,7 @@ class OrthogonalityReport:
         return self.ok
 
 
-def check_max_orthogonal(phi: PdFunction, n: int, tol: float = 1e-8) -> OrthogonalityReport:
+def check_max_orthogonal(phi: PdFunction, n: int, tol: float = RESIDUAL_TOL) -> OrthogonalityReport:
     """Check the defining orthogonality of the central extension at gap n + 1.
 
     For each class representative t of length n + 1, take the set Sigma of

@@ -2,8 +2,18 @@
 
 Thin, contract-checked wrappers around LAPACK (via numpy): Hermitian
 eigendecomposition, PSD test and projection, Moore-Penrose pseudo-inverse,
-and Gram factorization A = W* W with rank(A) rows.  All tolerances are
-relative to the matrix scale and can be overridden per call.
+and Gram factorization A = W* W with rank(A) rows.
+
+Every numerical threshold of the package is named once, in the table
+below, as one of four kinds.  A user tolerance is the default of a
+keyword argument and of ``--tol``.  A data rule is a fixed test of input
+data, relative to max(1, its largest entry) unless marked absolute.  A
+rank cut treats eigenvalues or singular values at most that fraction of
+the largest as zero.  A norm slack is how far past 1 a contraction's
+norm may round: up to it the contraction is scaled back to norm 1.
+Bounds derived from eps and a size stay where they are computed:
+``completion.analyze``'s rank cut |E| * eps * max(w) and stacked PSD
+floor, and the two margins of ``ncpoly._GramProblem.separating_witness``.
 """
 
 from __future__ import annotations
@@ -21,15 +31,32 @@ class NotPsdError(ValueError):
     """Input matrix has an eigenvalue below the PSD floor."""
 
 
+#: user tolerance, absolute: orthogonality and SOS coefficient residuals (--tol of check-ortho, factor)
+RESIDUAL_TOL = 1e-8
+#: data rule: Hermitian, conflicting-value, unit (absolute), singular-unit, Toeplitz, generator-norm
+DATA_RTOL = 1e-12
+#: data rule: Hermitian noncommutative polynomials, unitary substitutions (whose scale is 1)
+POLY_RTOL = 1e-10
+#: rank cut: pseudo-inverses and Gram factors
+RANK_EPS = 1e-10
+#: rank cut: the Gram factor of a sum-of-squares certificate, relative part
+CERT_RANK_RTOL = 1e-12
+#: rank cut: the Gram factor of a sum-of-squares certificate, absolute floor
+CERT_RANK_FLOOR = 1e-14
+#: norm slack: a completion parameter given to ``complete`` or by an oracle
+GAMMA_NORM_SLACK = 1e-9
+#: norm slack: a parameter recovered by ``extract_gamma``
+EXTRACT_NORM_SLACK = 1e-6
+
+
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative tolerances: PSD eigenvalue floor and pseudo-inverse rank cutoff."""
+    """The user tolerance of positivity tests: the relative PSD eigenvalue floor."""
 
-    psd_eps: float = 1e-10
-    rank_eps: float = 1e-10
+    psd_eps: float = 1e-10  # user tolerance (--tol of verify, extend, params)
 
     def __post_init__(self):
-        if not (0 < self.psd_eps < np.inf and 0 < self.rank_eps < np.inf):
+        if not 0 < self.psd_eps < np.inf:
             raise ValueError("tolerances must be strictly positive and finite")
 
     def psd_floor(self, w: np.ndarray) -> float:
@@ -50,18 +77,18 @@ def as_matrix(A) -> np.ndarray:
     return M
 
 
-def _check_hermitian(A: np.ndarray, rtol: float = 1e-12):
+def _check_hermitian(A: np.ndarray):
     scale = max(1.0, np.abs(A).max(initial=0.0))
-    if A.shape[0] != A.shape[1] or np.abs(A - A.conj().T).max(initial=0.0) > rtol * scale:
+    if A.shape[0] != A.shape[1] or np.abs(A - A.conj().T).max(initial=0.0) > DATA_RTOL * scale:
         raise NotHermitianError(
-            f"matrix of shape {A.shape} is not Hermitian within {rtol} relative"
+            f"matrix of shape {A.shape} is not Hermitian within {DATA_RTOL} relative"
         )
 
 
 def eig_hermitian(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition A = V diag(w) V* with w real, descending.
 
-    The input must be Hermitian within 1e-12 relative asymmetry; it is
+    The input must be Hermitian within ``DATA_RTOL`` relative asymmetry; it is
     symmetrized before factorization so the result is exactly Hermitian.
     """
     M = as_matrix(A)
@@ -83,7 +110,7 @@ def is_psd(A, tol: Tolerance = DEFAULT_TOL) -> bool:
 def gram_factor(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Factor a PSD matrix as A = W* W, with rank(A) rows in W.
 
-    Eigenvalues below the relative rank cutoff are truncated; an
+    Eigenvalues at most ``RANK_EPS`` times the largest are truncated; an
     eigenvalue below the PSD floor raises :class:`NotPsdError`.  The
     columns of W are the embedding vectors of the corresponding Gram
     index, so slicing W columnwise yields realization data for blocked
@@ -106,14 +133,14 @@ def _gram_factors(M: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
             raise NotPsdError(
                 f"matrix is not PSD: min eigenvalue {w[-1]:.3e} below floor {floor:.3e}"
             )
-        keep = w > tol.rank_eps * max(w.max(initial=0.0), 0.0)
+        keep = w > RANK_EPS * max(w.max(initial=0.0), 0.0)
         factors.append(np.sqrt(w[keep])[:, None] * V[:, keep].conj().T)
     return factors
 
 
-def pinv(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with relative singular-value cutoff."""
-    return np.linalg.pinv(as_matrix(A), rcond=tol.rank_eps)
+def pinv(A) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse with the relative singular-value cutoff ``RANK_EPS``."""
+    return np.linalg.pinv(as_matrix(A), rcond=RANK_EPS)
 
 
 def psd_project(A) -> np.ndarray:
@@ -128,3 +155,14 @@ def _psd_clip(M: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(M)
     P = (V * np.maximum(w, 0.0)) @ V.conj().T
     return (P + P.conj().T) / 2.0
+
+
+def _renormalized(g: np.ndarray, slack: float, error: type, message: str) -> np.ndarray:
+    """g scaled back to operator norm 1, or ``error(message.format(norm))`` beyond 1 + slack."""
+    if g.any():  # a zero g has norm 0: no SVD
+        norm = np.linalg.norm(g, 2)
+        if norm > 1.0 + slack:
+            raise error(message.format(norm))
+        if norm > 1.0:
+            g = g / norm
+    return g

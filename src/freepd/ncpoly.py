@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import jsonio
-from .linalg import _psd_clip, as_matrix
+from .linalg import CERT_RANK_FLOOR, CERT_RANK_RTOL, POLY_RTOL, RESIDUAL_TOL, _psd_clip, as_matrix
 from .sampling import unitary_part
 from .words import GroupContext, Word, WordIndex, inverse, mul, reduce_word
 
@@ -82,9 +82,12 @@ class NcPolynomial:
         w = reduce_word(word)
         return self.terms.get(w, np.zeros((self.c, self.c), dtype=complex))
 
-    def is_hermitian(self, atol: float = 1e-10) -> bool:
+    def is_hermitian(self) -> bool:
+        """A_{s^-1} = A_s* for every s, within ``POLY_RTOL`` times max(1, max |A_x|)."""
+        scale = max((np.abs(B).max() for B in self.terms.values()), default=0.0)
+        bound = POLY_RTOL * max(1.0, scale)
         return all(
-            np.abs(self.coefficient(inverse(w)) - B.conj().T).max(initial=0.0) <= atol
+            np.abs(self.coefficient(inverse(w)) - B.conj().T).max(initial=0.0) <= bound
             for w, B in self.terms.items()
         )
 
@@ -166,7 +169,7 @@ def eval_word(blocks: Sequence[np.ndarray], word: Word) -> np.ndarray:
 def eval_unitaries(p: NcPolynomial, unitaries: Sequence[np.ndarray]) -> np.ndarray:
     """p(U) = sum_s A_s (x) U(s), a (c d) x (c d) matrix.
 
-    Each of the m substituted matrices must be unitary within 1e-10.  Stacks
+    Each of the m substituted matrices must be unitary within ``POLY_RTOL``.  Stacks
     of substitutions, each of shape (..., d, d), give the stack of the p(U).
     """
     if len(unitaries) != p.ctx.m:
@@ -175,8 +178,8 @@ def eval_unitaries(p: NcPolynomial, unitaries: Sequence[np.ndarray]) -> np.ndarr
     shape = Us[0].shape
     for i, U in enumerate(Us):
         ok = U.ndim >= 2 and U.shape == shape and shape[-2] == shape[-1] and np.isfinite(U).all()
-        if not ok or np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(shape[-1])).max(initial=0.0) > 1e-10:
-            raise ValueError(f"substitution {i + 1} is not unitary within 1e-10")
+        if not ok or np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(shape[-1])).max(initial=0.0) > POLY_RTOL:
+            raise ValueError(f"substitution {i + 1} is not unitary within {POLY_RTOL}")
     d = shape[-1]
     out = np.zeros((*shape[:-2], p.c * d, p.c * d), dtype=complex)
     for w, A in p.terms.items():
@@ -433,7 +436,7 @@ def _certificate(prob, m, B, iterations) -> SosCertificate:
 
 def factor_sos(
     p: NcPolynomial,
-    tol: float = 1e-8,
+    tol: float = RESIDUAL_TOL,
     max_iter: int = 20_000,
 ) -> SosCertificate | InfeasibleReport:
     """Search for a sum-of-squares certificate p = q* q.
@@ -507,7 +510,7 @@ def factor_sos(
 
 def _top_rank_factor(G: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh((G + G.conj().T) / 2.0)
-    keep = w > max(1e-14, 1e-12 * max(w.max(initial=0.0), 0.0))
+    keep = w > max(CERT_RANK_FLOOR, CERT_RANK_RTOL * max(w.max(initial=0.0), 0.0))
     return np.sqrt(w[keep])[:, None] * V[:, keep].conj().T
 
 

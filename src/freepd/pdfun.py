@@ -23,6 +23,7 @@ import numpy as np
 
 from . import jsonio
 from .linalg import (
+    DATA_RTOL,
     DEFAULT_TOL,
     NotPsdError,
     Tolerance,
@@ -133,7 +134,7 @@ class PdFunction:
             c = index.cls[i]
             B = B.conj().T if index.adj[i] else B
             if table.known[c] and not np.allclose(
-                table.blocks[c], B, rtol=0.0, atol=1e-12 * max(1.0, np.abs(B).max())
+                table.blocks[c], B, rtol=0.0, atol=DATA_RTOL * max(1.0, np.abs(B).max())
             ):
                 raise ValueError(f"conflicting values for the class of {index.words[c]}")
             table.blocks[c], table.known[c] = B, True
@@ -157,7 +158,7 @@ class PdFunction:
             raise ValueError("a value at the unit word is required")
         reps = np.flatnonzero(table.known & ~index.adj)
         unit = table.blocks[0]
-        if not np.allclose(unit, np.eye(k), rtol=0.0, atol=1e-12):
+        if not np.allclose(unit, np.eye(k), rtol=0.0, atol=DATA_RTOL):
             table.blocks[reps] = _normalize_unit(table.blocks[reps], unit)
         table.blocks[0] = np.eye(k)
         mask = domain.mask(index)
@@ -237,7 +238,7 @@ class PdFunction:
 
 def _normalize_unit(blocks: np.ndarray, unit: np.ndarray) -> np.ndarray:
     w, V = eig_hermitian(unit)
-    if w[-1] <= 1e-12 * max(1.0, w[0]):
+    if w[-1] <= DATA_RTOL * max(1.0, w[0]):
         raise NotPsdError(
             "the value at the unit word is singular or indefinite; "
             "cannot normalize to the identity"
@@ -423,7 +424,7 @@ def function_of_toeplitz(
     flat = words.diffs(ids, ids).reshape(-1)
     first = np.unique(flat, return_index=True)[1]  # by word id: each id of S_2n occurs
     blocks = M.blocks.reshape(N, k, N, k).transpose(0, 2, 1, 3).reshape(N * N, k, k)
-    bad = np.flatnonzero(np.abs(blocks - blocks[first[flat]]).max(axis=(1, 2)) > 1e-12 * scale)
+    bad = np.flatnonzero(np.abs(blocks - blocks[first[flat]]).max(axis=(1, 2)) > DATA_RTOL * scale)
     if bad.size:
         x = flat[bad[0]]
         (a, b), (i, j) = divmod(first[x], N), divmod(bad[0], N)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import DATA_RTOL, _renormalized, as_matrix
 from .ncpoly import eval_word
 from .pdfun import BallDomain, PdFunction
 from .words import GroupContext, Word, reduce_word
@@ -41,11 +41,8 @@ class GeneratorAssignment:
                     f"block for generator {i + 1} has shape {B.shape}, "
                     f"expected {(self.k, self.k)}"
                 )
-            norm = np.linalg.norm(B, 2)
-            if norm > 1.0 + 1e-12:
-                raise ValueError(
-                    f"block for generator {i + 1} has norm {norm:.12g} > 1"
-                )
+            message = f"block for generator {i + 1} has norm {{:.12g}} > 1"
+            B = _renormalized(B, DATA_RTOL, ValueError, message)
             B.flags.writeable = False
             coerced.append(B)
         object.__setattr__(self, "blocks", tuple(coerced))

@@ -121,7 +121,7 @@ def test_acceptance_03_completion_correctness():
 def test_acceptance_04_extension_preserves_positivity():
     t0 = time.time()
     rng = np.random.default_rng(44)
-    floor = Tolerance(psd_eps=1e-8, rank_eps=1e-10)
+    floor = Tolerance(psd_eps=1e-8)
     for trial in range(100):
         k = 1 if trial % 2 == 0 else 2
         phi = random_pd_function(CTX2, k, 2, rng)

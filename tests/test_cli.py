@@ -18,6 +18,7 @@ import freepd
 from freepd import jsonio, ncpoly
 from freepd.cli import build_parser, main
 from freepd.extend import extend_to_ball, extract_params, params_to_json, trace_from_json
+from freepd.linalg import DEFAULT_TOL, RESIDUAL_TOL
 from freepd.ncpoly import NcPolynomial, certificate_from_json
 from freepd.pdfun import gram, pdfunction_from_json
 from freepd.quasimult import haagerup
@@ -427,6 +428,53 @@ def test_factor_refuses_a_gram_problem_above_the_ball_cap(tmp_path, capfd):
         code, _, err = run(capfd, "factor", str(f), "-o", str(tmp_path / "c.json"))
     assert_bad_input(code, err)
     assert "ball of radius 8 in F_3 has 585937 words" in json.loads(err)["detail"]
+
+
+def test_extend_seed_needs_the_random_oracle(tmp_path, capfd):
+    h = tmp_path / "h.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "1", "-o", str(h))
+    out = tmp_path / "x.json"
+    for mode in ([], ["--central"], ["--params", str(h)]):
+        code, _, err = run(capfd, "extend", str(h), "--to", "3", *mode, "--seed", "7", "-o", str(out))
+        assert_bad_input(code, err)
+        assert json.loads(err)["detail"] == "--seed needs --random-oracle"
+        assert not out.exists()
+    # without --seed the random oracle draws from seed 0
+    zero = tmp_path / "zero.json"
+    run(capfd, "extend", str(h), "--to", "3", "--random-oracle", "-o", str(out))
+    run(capfd, "extend", str(h), "--to", "3", "--random-oracle", "--seed", "0", "-o", str(zero))
+    assert out.read_bytes() == zero.read_bytes()
+
+
+def test_tol_help_says_what_it_bounds_and_its_default(capfd):
+    expected = {
+        "verify": ("relative", DEFAULT_TOL.psd_eps),
+        "extend": ("relative", DEFAULT_TOL.psd_eps),
+        "params": ("relative", DEFAULT_TOL.psd_eps),
+        "check-ortho": ("absolute", RESIDUAL_TOL),
+        "factor": ("absolute", RESIDUAL_TOL),
+    }
+    for command, (kind, default) in expected.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capfd.readouterr().out.split())
+        tol_help = text[text.rindex("--tol TOL") :]
+        assert tol_help.split()[2] == kind, command
+        assert f"(default {default:g})" in tol_help, command
+
+
+def test_factor_and_sample_take_a_one_ulp_asymmetry_at_scale(tmp_path, capfd):
+    # 2e6 + 1e6 X + nextafter(1e6) X* is 1e6 |1 + X|^2 up to one ulp (1.16e-10)
+    near = np.nextafter(1e6, np.inf)
+    p = NcPolynomial(
+        GroupContext(1), 1, {E: np.array([[2e6]]), (1,): np.array([[1e6]]), (-1,): np.array([[near]])}
+    )
+    f = tmp_path / "p.json"
+    jsonio.dump_path(f, p.to_json_dict())
+    code, _, err = run(capfd, "factor", str(f), "-o", str(tmp_path / "c.json"))
+    assert code == 0, err
+    code, _, err = run(capfd, "sample", str(f), "--trials", "5")
+    assert code == 0, err
 
 
 def test_extend_flag_conflict(tmp_path, capfd):

@@ -1,6 +1,8 @@
 """The package imports nothing beyond numpy and the standard library,
-which is all that ``pyproject.toml`` declares for it."""
+which is all that ``pyproject.toml`` declares for it, and names each
+numerical threshold once, in the table of ``freepd.linalg``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +32,15 @@ def test_freepd_imports_only_numpy_and_the_standard_library():
         check=True,
     )
     assert run.stdout.strip() == "[]"
+
+
+def test_thresholds_are_named_only_in_linalg():
+    package = Path(freepd.__file__).resolve().parent
+    stray = [
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1e-3
+    ]
+    assert stray == []

@@ -76,7 +76,7 @@ def test_extension_preserves_positivity_random_oracle():
         k = 1 + i % 2
         phi = random_pd_function(CTX2, k, 2, RNG)
         out, _ = extend_to_ball(phi, 3, random_gamma_oracle(seed=i))
-        res = verify_pd(out, tol=Tolerance(psd_eps=1e-8, rank_eps=1e-10))
+        res = verify_pd(out, tol=Tolerance(psd_eps=1e-8))
         assert res.ok, res.min_eigenvalue
 
 
@@ -225,7 +225,7 @@ def test_oracle_norm_policy():
     phi = random_pd_function(CTX2, 1, 1, RNG)
     # tiny overshoot is renormalized silently
     out, _ = extend_to_ball(phi, 2, lambda cur, dd: (1.0 + 1e-10) * np.ones(dd.gamma_shape))
-    assert verify_pd(out, tol=Tolerance(psd_eps=1e-7, rank_eps=1e-10)).ok
+    assert verify_pd(out, tol=Tolerance(psd_eps=1e-7)).ok
     with pytest.raises(ContractionNormError):
         extend_to_ball(phi, 2, lambda cur, dd: 1.1 * np.ones(dd.gamma_shape))
 

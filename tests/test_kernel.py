@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from freepd.completion import PartialBlockMatrix, PartialPositivityError, analyze
 from freepd.linalg import (
     DEFAULT_TOL,
+    RANK_EPS,
     NotPsdError,
     Tolerance,
     _gram_factors,
@@ -33,7 +34,7 @@ def _reference_gram_factor(S, tol):
             f"matrix is not PSD: min eigenvalue {w[-1]:.3e} below floor "
             f"{-tol.psd_eps * scale:.3e}"
         )
-    keep = w > tol.rank_eps * max(w.max(initial=0.0), 0.0)
+    keep = w > RANK_EPS * max(w.max(initial=0.0), 0.0)
     return np.sqrt(w[keep])[:, None] * V[:, keep].conj().T
 
 
@@ -148,10 +149,7 @@ def hermitian_stacks(draw):
             signs[:1] = -draw(st.sampled_from([1e-14, 1e-8, 1.0]))
         A = (W.conj().T * signs) @ W
         stack.append((A + A.conj().T) / 2.0)
-    tol = Tolerance(
-        psd_eps=draw(st.sampled_from([1e-12, 1e-10, 1e-6])),
-        rank_eps=draw(st.sampled_from([1e-12, 1e-10, 1e-6])),
-    )
+    tol = Tolerance(psd_eps=draw(st.sampled_from([1e-12, 1e-10, 1e-6])))
     return np.array(stack), tol
 
 

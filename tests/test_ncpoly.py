@@ -85,6 +85,16 @@ def test_degree_and_hermitian():
     assert scalar_poly(CTX1, {E: 1.0}).degree == 0
 
 
+def test_hermitian_test_is_relative_to_the_coefficients():
+    # coefficients one ulp apart are Hermitian at every scale (the ulp of 1e6 is
+    # 1.16e-10); a relative asymmetry of 1e-6 is not
+    for scale in (1.0, 1e6):
+        near = np.nextafter(scale, np.inf)
+        assert scalar_poly(CTX1, {E: 2 * scale, (1,): scale, (-1,): near}).is_hermitian()
+        far = scale * (1 + 1e-6)
+        assert not scalar_poly(CTX1, {E: 2 * scale, (1,): scale, (-1,): far}).is_hermitian()
+
+
 def test_eval_examples():
     assert np.allclose(eval_unitaries(P_SHIFTED, [np.array([[-1.0]])]), 0.0)
     const = NcPolynomial(CTX2, 2, {E: np.eye(2)})

@@ -34,6 +34,14 @@ def test_norm_violation_rejected():
         GeneratorAssignment(CTX2, 1, (np.array([[0.5]]),))
 
 
+def test_generator_norm_slack_is_renormalized():
+    # an overshoot of 1e-13 is rounding noise and is scaled back to norm 1; 1e-11 is refused
+    g = GeneratorAssignment(CTX2, 1, (np.array([[1.0 + 1e-13]]), np.array([[0.5]])))
+    assert np.linalg.norm(g.blocks[0], 2) <= 1.0
+    with pytest.raises(ValueError, match="norm"):
+        GeneratorAssignment(CTX2, 1, (np.array([[1.0 + 1e-11]]), np.array([[0.5]])))
+
+
 def test_quasi_multiplicativity_when_lengths_add():
     blocks = tuple(random_contraction((2, 2), RNG, norm=0.9) for _ in range(2))
     g = GeneratorAssignment(CTX2, 2, blocks)
