@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=int, required=True, help="target ball radius N")
     oracle = p.add_mutually_exclusive_group()
     oracle.add_argument("--central", action="store_true", help="zero parameters (default)")
-    oracle.add_argument("--params", default=None, help="params.v1 file with an explicit sequence")
+    oracle.add_argument("--params", default=None, help="params.v1 or trace.v1 sequence to replay")
     oracle.add_argument("--random-oracle", action="store_true", help="seeded random contractions")
     p.add_argument("--seed", type=int, default=None, help="seed of --random-oracle (default 0)")
     p.add_argument("--output", "-o", required=True)

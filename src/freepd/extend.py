@@ -13,6 +13,7 @@ orthogonality across each one-step distance gap (checked by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -125,38 +126,31 @@ def params_to_json(
 
 
 def params_from_json(doc: dict) -> tuple[GroupContext, int, int, int, dict[ClassCursor, np.ndarray]]:
-    ctx, k = jsonio.read_header(doc, "params.v1")
-    from_n, to_n = jsonio.natural(doc, "from_n"), jsonio.natural(doc, "to_n")
+    """The contraction sequence of a ``params.v1`` document or of a ``trace.v1``.
+
+    A trace's sequence is its ``gamma`` column: it starts at ``start_n`` and
+    ends at its longest class.  Its parameters are the ones the run used, so
+    replaying it reproduces the run bit for bit; a ``params.v1`` file holds
+    re-extracted parameters and replays to rounding.
+    """
+    trace = doc.get("schema") == "trace.v1"
+    ctx, k = jsonio.read_header(doc, "trace.v1" if trace else "params.v1")
+    key = "steps" if trace else "params"
+    from_n = jsonio.natural(doc, "start_n" if trace else "from_n")
+    to_n = math.inf if trace else jsonio.natural(doc, "to_n")
     if from_n > to_n:
         raise jsonio.SchemaError(f"'from_n' = {from_n} exceeds 'to_n' = {to_n}")
     params: dict[ClassCursor, np.ndarray] = {}
-    for item in jsonio.require(doc, "params", list):
+    for item in jsonio.require(doc, key, list):
         cursor = ClassCursor(jsonio.word_from_json(jsonio.require(item, "class"), ctx.m), ctx)
         if not from_n < cursor.length <= to_n:
             raise jsonio.SchemaError(f"class {cursor.rep} has a length outside ({from_n}, {to_n}]")
         if cursor in params:
-            raise jsonio.SchemaError(f"'params' names the class of {cursor.rep} twice")
+            raise jsonio.SchemaError(f"{key!r} names the class of {cursor.rep} twice")
         params[cursor] = jsonio.matrix_from_json(jsonio.require(item, "gamma"))
+    if trace:
+        to_n = max((cursor.length for cursor in params), default=from_n)
     return ctx, k, from_n, to_n, params
-
-
-def trace_from_json(doc: dict) -> ExtensionTrace:
-    ctx, k = jsonio.read_header(doc, "trace.v1")
-    m = ctx.m
-    steps = []
-    for item in jsonio.require(doc, "steps", list):
-        rep = jsonio.word_from_json(jsonio.require(item, "class"), m)
-        clique = tuple(jsonio.word_from_json(w, m) for w in jsonio.require(item, "clique", list))
-        steps.append(
-            ExtensionStep(
-                cursor=ClassCursor(rep, ctx),
-                clique=clique,
-                central=jsonio.matrix_from_json(jsonio.require(item, "central"), (k, k)),
-                gamma=jsonio.matrix_from_json(jsonio.require(item, "gamma")),
-                filled=jsonio.matrix_from_json(jsonio.require(item, "filled"), (k, k)),
-            )
-        )
-    return ExtensionTrace(ctx=ctx, k=k, start_n=jsonio.natural(doc, "start_n"), steps=tuple(steps))
 
 
 def _window(values: WordValues, cursor: ClassCursor) -> tuple[PartialBlockMatrix, list[Word]]:

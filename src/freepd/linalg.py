@@ -33,16 +33,11 @@ class NotPsdError(ValueError):
 
 #: user tolerance, absolute: orthogonality and SOS coefficient residuals (--tol of check-ortho, factor)
 RESIDUAL_TOL = 1e-8
-#: data rule: Hermitian, conflicting-value, unit (absolute), singular-unit, Toeplitz, generator-norm
+#: data rule: Hermitian matrices and polynomials, conflicting-value, unit (absolute), singular-unit,
+#: Toeplitz, generator-norm, unitary substitutions (whose scale is 1)
 DATA_RTOL = 1e-12
-#: data rule: Hermitian noncommutative polynomials, unitary substitutions (whose scale is 1)
-POLY_RTOL = 1e-10
-#: rank cut: pseudo-inverses and Gram factors
+#: rank cut: pseudo-inverses and Gram factors, also of sum-of-squares certificates
 RANK_EPS = 1e-10
-#: rank cut: the Gram factor of a sum-of-squares certificate, relative part
-CERT_RANK_RTOL = 1e-12
-#: rank cut: the Gram factor of a sum-of-squares certificate, absolute floor
-CERT_RANK_FLOOR = 1e-14
 #: norm slack: a completion parameter given to ``complete`` or by an oracle
 GAMMA_NORM_SLACK = 1e-9
 #: norm slack: a parameter recovered by ``extract_gamma``

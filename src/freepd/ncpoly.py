@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import jsonio
-from .linalg import CERT_RANK_FLOOR, CERT_RANK_RTOL, POLY_RTOL, RESIDUAL_TOL, _psd_clip, as_matrix
+from .linalg import DATA_RTOL, RESIDUAL_TOL, _psd_clip, as_matrix, gram_factor
 from .sampling import unitary_part
 from .words import GroupContext, Word, WordIndex, inverse, mul, reduce_word
 
@@ -83,9 +83,9 @@ class NcPolynomial:
         return self.terms.get(w, np.zeros((self.c, self.c), dtype=complex))
 
     def is_hermitian(self) -> bool:
-        """A_{s^-1} = A_s* for every s, within ``POLY_RTOL`` times max(1, max |A_x|)."""
+        """A_{s^-1} = A_s* for every s, within ``DATA_RTOL`` times max(1, max |A_x|)."""
         scale = max((np.abs(B).max() for B in self.terms.values()), default=0.0)
-        bound = POLY_RTOL * max(1.0, scale)
+        bound = DATA_RTOL * max(1.0, scale)
         return all(
             np.abs(self.coefficient(inverse(w)) - B.conj().T).max(initial=0.0) <= bound
             for w, B in self.terms.items()
@@ -169,8 +169,9 @@ def eval_word(blocks: Sequence[np.ndarray], word: Word) -> np.ndarray:
 def eval_unitaries(p: NcPolynomial, unitaries: Sequence[np.ndarray]) -> np.ndarray:
     """p(U) = sum_s A_s (x) U(s), a (c d) x (c d) matrix.
 
-    Each of the m substituted matrices must be unitary within ``POLY_RTOL``.  Stacks
-    of substitutions, each of shape (..., d, d), give the stack of the p(U).
+    Each of the m substituted matrices must be unitary within ``DATA_RTOL``, the
+    data rule at the scale 1 of a unitary: no entry of U* U - I above it.
+    Stacks of substitutions, each of shape (..., d, d), give the stack of the p(U).
     """
     if len(unitaries) != p.ctx.m:
         raise ValueError(f"need {p.ctx.m} unitaries, got {len(unitaries)}")
@@ -178,8 +179,8 @@ def eval_unitaries(p: NcPolynomial, unitaries: Sequence[np.ndarray]) -> np.ndarr
     shape = Us[0].shape
     for i, U in enumerate(Us):
         ok = U.ndim >= 2 and U.shape == shape and shape[-2] == shape[-1] and np.isfinite(U).all()
-        if not ok or np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(shape[-1])).max(initial=0.0) > POLY_RTOL:
-            raise ValueError(f"substitution {i + 1} is not unitary within {POLY_RTOL}")
+        if not ok or np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(shape[-1])).max(initial=0.0) > DATA_RTOL:
+            raise ValueError(f"substitution {i + 1} is not unitary within {DATA_RTOL}")
     d = shape[-1]
     out = np.zeros((*shape[:-2], p.c * d, p.c * d), dtype=complex)
     for w, A in p.terms.items():
@@ -443,7 +444,10 @@ def factor_sos(
 
     Dykstra's alternating projections run between the PSD cone and the
     affine set of Gram matrices with the right coefficient sums, with a
-    gap check every 25 iterations and at the last.  At a check the search
+    gap check every 25 iterations and at the last.  At a check where both
+    gaps are at most tol / 10, the PSD iterate is factored by
+    :func:`~freepd.linalg.gram_factor` (rank cut ``RANK_EPS``), and the
+    factor is returned when its residual is at most ``tol``.  Then the search
     reads the separating witness of :meth:`_GramProblem.separating_witness`
     and, when it proves p not positive, returns an :class:`InfeasibleReport`
     carrying it at once; otherwise, when the affine gap is at most
@@ -483,7 +487,7 @@ def factor_sos(
             affine_gap = prob.affine_gap(Y)
             psd_gap = max(0.0, -float(np.linalg.eigvalsh(X).min()))
             if affine_gap <= tol / 10 and psd_gap <= tol / 10:
-                B = _top_rank_factor(Y)
+                B = gram_factor(Y)
                 if prob.affine_gap(B.conj().T @ B) <= tol:
                     return _certificate(prob, p.ctx.m, B, it)
             found = prob.separating_witness(Y)
@@ -506,12 +510,6 @@ def factor_sos(
         witness=witness,
         separation=separation,
     )
-
-
-def _top_rank_factor(G: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh((G + G.conj().T) / 2.0)
-    keep = w > max(CERT_RANK_FLOOR, CERT_RANK_RTOL * max(w.max(initial=0.0), 0.0))
-    return np.sqrt(w[keep])[:, None] * V[:, keep].conj().T
 
 
 def split_squares(cert: SosCertificate) -> list[NcPolynomial]:

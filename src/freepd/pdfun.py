@@ -17,7 +17,7 @@ adjacent balls of radius n//2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -357,25 +357,20 @@ def _witness_sets(phi: PdFunction) -> list[list[Word]]:
     return [sorted(S, key=ctx.sort_key) for S in merged]
 
 
-def verify_pd(
-    phi: PdFunction,
-    tol: Tolerance = DEFAULT_TOL,
-    witness_sets: Iterable[Sequence[Word]] | None = None,
-) -> VerifyResult:
+def verify_pd(phi: PdFunction, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
     """Decide positive definiteness of phi on its ball domain.
 
     For even n = 2h it suffices that the Gram matrix of the radius-h ball
     is PSD; for odd n = 2h + 1, one bicentered set per generator is
     checked.  Any tree set with diameter <= n embeds in one of these up
     to translation, and translation leaves Gram matrices unchanged, so
-    the finite family is exact.  ``witness_sets`` overrides the default
-    family.  Returns the worst set with its least eigenvalue.
+    the finite family is exact.  Returns the worst set with its least
+    eigenvalue.
     """
-    sets = [list(s) for s in witness_sets] if witness_sets is not None else _witness_sets(phi)
     worst = np.inf
     worst_set: tuple[Word, ...] = ()
     ok = True
-    for S in sets:
+    for S in _witness_sets(phi):
         A = gram(phi, S).blocks
         w = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
         if w.min() < worst:

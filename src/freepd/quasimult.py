@@ -35,7 +35,7 @@ class GeneratorAssignment:
             )
         coerced = []
         for i, block in enumerate(self.blocks):
-            B = as_matrix(block)
+            B = as_matrix(block).copy()  # frozen below: the caller's array stays writeable
             if B.shape != (self.k, self.k):
                 raise ValueError(
                     f"block for generator {i + 1} has shape {B.shape}, "

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 import freepd
 from freepd import jsonio, ncpoly
 from freepd.cli import build_parser, main
-from freepd.extend import extend_to_ball, extract_params, params_to_json, trace_from_json
+from freepd.extend import extend_to_ball, extract_params, params_to_json
 from freepd.linalg import DEFAULT_TOL, RESIDUAL_TOL
 from freepd.ncpoly import NcPolynomial, certificate_from_json
 from freepd.pdfun import gram, pdfunction_from_json
 from freepd.quasimult import haagerup
+from freepd.sampling import random_pd_function
 from freepd.words import E, GroupContext, ball, inverse
 
 
@@ -185,6 +186,38 @@ def test_extend_params_roundtrip_byte_identical(tmp_path, capfd):
     doc = jsonio.load_path(trace)
     assert doc["schema"] == "trace.v1"
     assert len(doc["steps"]) == 18  # the length-3 classes of F_2
+
+
+def test_extend_params_replays_a_trace_byte_for_byte(tmp_path, capfd):
+    # a trace holds the parameters its run used, so its replay is that run
+    rnd, h = tmp_path / "rnd.json", tmp_path / "h.json"
+    jsonio.dump_path(rnd, random_pd_function(GroupContext(2), 2, 2, np.random.default_rng(4)).to_json_dict())
+    run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "2", "-o", str(h))
+    for source, to, oracle in ((rnd, "5", ["--random-oracle", "--seed", "4"]), (h, "4", ["--central"])):
+        ext, trace, replay = (tmp_path / f"{source.stem}_{name}.json" for name in ("ext", "trace", "replay"))
+        code, _, _ = run(capfd, "extend", str(source), "--to", to, *oracle, "--trace", str(trace), "-o", str(ext))
+        assert code == 0
+        code, _, _ = run(capfd, "extend", str(source), "--to", to, "--params", str(trace), "-o", str(replay))
+        assert code == 0
+        assert replay.read_bytes() == ext.read_bytes()
+
+
+def test_trace_from_another_radius_or_context_is_bad_input(tmp_path, capfd):
+    h1, h2, other, ext, trace, out = (
+        tmp_path / f"{name}.json" for name in ("h1", "h2", "other", "ext", "trace", "out")
+    )
+    run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "1", "-o", str(h1))
+    run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "2", "-o", str(h2))
+    run(capfd, "extend", str(h1), "--to", "3", "--random-oracle", "--seed", "5", "--trace", str(trace), "-o", str(ext))
+    code, _, err = run(capfd, "extend", str(h2), "--to", "3", "--params", str(trace), "-o", str(out))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == "parameters start at S_1, the input is S_2"
+    for option in (["--order", "2,-2,1,-1"], ["--k", "2"]):
+        run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "1", *option, "-o", str(other))
+        code, _, err = run(capfd, "extend", str(other), "--to", "3", "--params", str(trace), "-o", str(out))
+        assert_bad_input(code, err)
+        assert json.loads(err)["detail"] == "parameter file context does not match the input function"
+    assert not out.exists()
 
 
 def test_extend_deterministic(tmp_path, capfd):
@@ -509,9 +542,9 @@ def test_bad_header_is_bad_input(tmp_path, capfd):
     jsonio.dump_path(params, {"schema": "params.v1", **header, "from_n": 1, "to_n": 2, "params": []})
     code, _, err = run(capfd, "extend", str(h), "--to", "2", "--params", str(params), "-o", str(tmp_path / "x.json"))
     assert_bad_input(code, err)
-    trace = {"schema": "trace.v1", **header, "start_n": 1, "steps": []}
-    with pytest.raises(jsonio.SchemaError):
-        trace_from_json(trace)
+    jsonio.dump_path(params, {"schema": "trace.v1", **header, "start_n": 1, "steps": []})
+    code, _, err = run(capfd, "extend", str(h), "--to", "2", "--params", str(params), "-o", str(tmp_path / "x.json"))
+    assert_bad_input(code, err)
     # a huge m is refused by the letter count alone, before any letter set is built
     pdfun = jsonio.load_path(h)
     pdfun["m"] = 10**12

@@ -139,6 +139,17 @@ def test_extract_complete_roundtrip_full_rank():
         assert np.abs(extract_gamma(P, filled) - g0).max() <= 1e-8
 
 
+def test_extracted_norm_slack_renormalizes_or_refuses():
+    # defects of 1e-3 on both sides scale the entry by 1e6: an entry 1e-7
+    # past the boundary is within EXTRACT_NORM_SLACK = 1e-6 and is scaled
+    # back to norm 1; 1e-5 past it is refused
+    P = PartialBlockMatrix(np.diag([1e-6, 1e-6]), (0, 1), 1)
+    g = extract_gamma(P, np.array([[1e-6 * (1 + 1e-7)]]))
+    assert abs(np.linalg.norm(g, 2) - 1.0) <= 1e-15
+    with pytest.raises(CompletionError, match="operator norm"):
+        extract_gamma(P, np.array([[1e-6 * (1 + 1e-5)]]))
+
+
 def test_extract_rejects_non_psd_completion():
     P = hide_pair(np.array([[1, 0.5, 0], [0.5, 1, 0.5], [0, 0.5, 1.0]]), (0, 2), 1)
     with pytest.raises(CompletionError):

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import freepd
+from freepd import linalg
 
 IMPORT_ALL = """
 import importlib, pkgutil, sys
@@ -44,3 +45,14 @@ def test_thresholds_are_named_only_in_linalg():
         if isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1e-3
     ]
     assert stray == []
+
+
+def test_readme_tolerance_table_lists_exactly_the_thresholds():
+    # the README's Tolerances table: one row per threshold, name and value as in linalg
+    readme = (Path(freepd.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    documented = {name.strip("| `"): float(value) for name, value, *_ in rows}
+    expected = {"Tolerance.psd_eps": linalg.Tolerance.psd_eps}
+    expected.update((name, value) for name, value in vars(linalg).items() if type(value) is float)
+    assert documented == expected

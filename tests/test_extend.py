@@ -14,7 +14,6 @@ from freepd.extend import (
     oracle_from_params,
     params_from_json,
     params_to_json,
-    trace_from_json,
     zero_oracle,
 )
 from freepd.pdfun import (
@@ -116,16 +115,12 @@ def test_trace_json_roundtrip():
     out, trace = extend_to_ball(phi, 3, random_gamma_oracle(seed=6))
     doc = trace.to_json_dict()
     text = jsonio.dumps(doc)
-    back = trace_from_json(json.loads(text))
-    assert back.start_n == trace.start_n
-    assert len(back.steps) == len(trace.steps)
-    for a, b in zip(back.steps, trace.steps):
-        assert a.cursor == b.cursor
-        assert a.clique == b.clique
-        assert np.array_equal(a.central, b.central)
-        assert np.array_equal(a.gamma, b.gamma)
-        assert np.array_equal(a.filled, b.filled)
-    replay, _ = extend_to_ball(phi, 3, oracle_from_params(back.params()))
+    ctx, k, from_n, to_n, params = params_from_json(json.loads(text))
+    assert (ctx, k, from_n, to_n) == (CTX2, 1, 2, 3)
+    assert list(params) == [step.cursor for step in trace.steps]
+    for cur, g in trace.params().items():
+        assert np.array_equal(params[cur], g)
+    replay, _ = extend_to_ball(phi, 3, oracle_from_params(params))
     assert replay == out
 
 
@@ -134,7 +129,20 @@ def test_trace_start_radius_is_a_non_negative_integer():
     doc = trace.to_json_dict()
     for value in ("x", True, -1, 2.0):
         with pytest.raises(jsonio.SchemaError, match="'start_n' must be a non-negative integer"):
-            trace_from_json({**doc, "start_n": value})
+            params_from_json({**doc, "start_n": value})
+
+
+def test_trace_steps_are_checked_as_params_are():
+    phi = random_pd_function(CTX2, 1, 2, np.random.default_rng(6))
+    _, trace = extend_to_ball(phi, 3, random_gamma_oracle(seed=6))
+    doc = trace.to_json_dict()
+    first = doc["steps"][0]
+    with pytest.raises(jsonio.SchemaError, match=r"'steps' names the class of \(1, 1, 1\) twice"):
+        params_from_json({**doc, "steps": [*doc["steps"], {**first, "class": [-1, -1, -1]}]})
+    with pytest.raises(jsonio.SchemaError, match=r"class \(1, 2\) has a length outside \(2, inf\]"):
+        params_from_json({**doc, "steps": [{**first, "class": [1, 2]}]})
+    # an empty trace runs from its start radius to itself
+    assert params_from_json({**doc, "steps": []})[2:] == (2, 2, {})
 
 
 def test_params_json_roundtrip():

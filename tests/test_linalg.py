@@ -67,6 +67,12 @@ def test_gram_factor_examples():
     assert np.allclose(W.conj().T @ W, [[1, 1], [1, 1]])
 
 
+def test_gram_factor_rank_cut_is_rank_eps_relative():
+    # RANK_EPS = 1e-10 of the largest eigenvalue: 1e-11 is cut, 1e-9 is kept
+    assert gram_factor(np.diag([1.0, 1e-11])).shape == (1, 2)
+    assert gram_factor(np.diag([1.0, 1e-9])).shape == (2, 2)
+
+
 def test_gram_factor_property():
     for n, rank in ((4, 4), (6, 3), (5, 1)):
         B = RNG.normal(size=(rank, n)) + 1j * RNG.normal(size=(rank, n))

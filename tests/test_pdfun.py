@@ -263,17 +263,6 @@ def test_verify_translation_invariance():
         assert np.allclose(base, translated)
 
 
-def test_verify_accepts_explicit_witness_sets():
-    phi = geometric(CTX2, 0.5, 2)
-    # the escape hatch checks exactly the supplied Gram sets
-    res = verify_pd(phi, witness_sets=[[E, (1,)], [E, (2,), (2, 2)]])
-    assert res.ok
-    bad = scalar_ball_function(CTX2, 1, lambda w: 1.5 if len(w) == 1 else (1.0 if w == E else 0.0))
-    res = verify_pd(bad, witness_sets=[[E, (1,)]])
-    assert not res.ok
-    assert res.witness == (E, (1,))
-
-
 def test_verify_requires_ball_domain():
     from freepd.words import ClassCursor
 

@@ -42,6 +42,15 @@ def test_generator_norm_slack_is_renormalized():
         GeneratorAssignment(CTX2, 1, (np.array([[1.0 + 1e-11]]), np.array([[0.5]])))
 
 
+def test_generator_blocks_are_copied_before_they_are_frozen():
+    mine = np.array([[0.5 + 0j]])
+    g = GeneratorAssignment(CTX2, 1, (mine, np.array([[0.5]])))
+    assert mine.flags.writeable
+    assert not g.blocks[0].flags.writeable
+    mine[0, 0] = 0.25
+    assert g.blocks[0][0, 0] == 0.5
+
+
 def test_quasi_multiplicativity_when_lengths_add():
     blocks = tuple(random_contraction((2, 2), RNG, norm=0.9) for _ in range(2))
     g = GeneratorAssignment(CTX2, 2, blocks)
