@@ -41,6 +41,6 @@ print("\nthe median of three vertices lies on all three geodesics:")
 print("  median(e, a1 a2, a1 a2^-1) =", tree_median(E, (1, 2), (1, -2)))
 
 print("\nwords within distance 2 of both e and a1 a2 a1 (a one-step gap):")
-print("  ", sigma_set(ctx, E, (1, 2, 1), 2))
+print("  ", sigma_set(ctx, E, (1, 2, 1)))
 
 print("\nclasses up to length 2:", [c.rep for c in classes_up_to(ctx, 2)])

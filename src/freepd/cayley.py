@@ -7,7 +7,9 @@ s^-1 t is at most nu; these graphs interpolate between the tree and its
 distance-n powers, and each new cutoff adds the translates of a single
 clique.  Chordality of the induced finite graphs is what makes the
 one-entry-at-a-time completion of Gram matrices sound; the tests check it
-with networkx on the graphs that :class:`EdgePredicate` defines.
+with networkx on the graphs that :class:`EdgePredicate` defines.  Both
+completion windows read one common-neighbour mask over a :class:`WordIndex`:
+:func:`clique_C` cuts at the class of s_nu, :func:`sigma_set` at S_n.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ class EdgePredicate:
         return ctx.sort_key(diff) <= self.cutoff.key()
 
 
+def _common_neighbours(index: WordIndex, x: int, cutoff: int, bound: int) -> np.ndarray:
+    """Mask over the ids u < ``bound`` with u and x^-1 u both of class id below ``cutoff``."""
+    u = np.arange(bound)
+    return (index.cls[u] < cutoff) & (index.cls[index.diffs([x], u)[0]] < cutoff)
+
+
 def clique_C(nu: ClassCursor, index: WordIndex | None = None) -> list[Word]:
     """The maximal clique containing {e, s_nu} in the graph with cutoff nu.
 
@@ -78,31 +86,25 @@ def clique_C(nu: ClassCursor, index: WordIndex | None = None) -> list[Word]:
         index = WordIndex(nu.ctx, len(nu.rep))
     s = index.ids[nu.rep]
     # a word of class below nu is no longer than s_nu, so the candidates are S_|s_nu|
-    ball_ids = np.arange(index.ends[len(nu.rep)])
-    below = index.cls[ball_ids] < index.cls[s]
-    below &= index.cls[index.diffs([s], ball_ids)[0]] < index.cls[s]
-    below[[0, s]] = True  # e and s_nu, each at class nu from the other
-    return [index.words[i] for i in np.flatnonzero(below).tolist()]
+    near = _common_neighbours(index, s, s, index.ends[len(nu.rep)])
+    near[[0, s]] = True  # e and s_nu, each at class nu from the other
+    return [index.words[i] for i in np.flatnonzero(near).tolist()]
 
 
-def sigma_set(
-    ctx: GroupContext, s: Word, t: Word, n: int, index: WordIndex | None = None
-) -> list[Word]:
-    """The words within distance n of both s and t, for d(s, t) = n + 1.
+def sigma_set(ctx: GroupContext, s: Word, t: Word, index: WordIndex | None = None) -> list[Word]:
+    """Sigma(s, t): the words within distance n of both s and t, for d(s, t) = n + 1 > 0.
 
-    This is the common-neighbour clique of the pair across a one-step
-    distance gap; its members are pairwise at distance at most n.  They are
-    the s u with u in S_n and x^-1 u in S_n, for x = s^-1 t.  ``index`` must
-    reach n + 1; by default one of that radius is built.
+    The rule of :func:`clique_C` across a one-step distance gap, with the
+    cutoff of the first class of length n + 1: the s u with u and x^-1 u in
+    S_n, for x = s^-1 t.  Its members are pairwise at distance at most n.
+    ``index`` must reach n + 1; by default one of that radius is built.
     """
     x = mul(inverse(s), t)
-    if n < 0 or len(x) != n + 1:
-        raise ValueError(f"sigma_set needs d(s, t) = n + 1, got d = {len(x)} with n = {n}")
+    if x == E:
+        raise ValueError("sigma_set needs two distinct words, got s = t")
     if index is None:
-        index = WordIndex(ctx, n + 1)
-    inner = index.ends[n]  # the ids of S_n are those below
-    near = index.diffs([index.ids[x]], np.arange(inner))[0] < inner
-    out = [index.words[i] for i in np.flatnonzero(near).tolist()]
-    if s == E:
-        return out
-    return sorted((mul(s, u) for u in out), key=ctx.sort_key)
+        index = WordIndex(ctx, len(x))
+    inner = index.ends[len(x) - 1]  # S_n: the words, and the classes, of id below this
+    near = _common_neighbours(index, index.ids[x], inner, inner)
+    out = (mul(s, index.words[i]) for i in np.flatnonzero(near).tolist())
+    return sorted(out, key=ctx.sort_key)

@@ -26,10 +26,11 @@ R_x = diag(w_keep)^(-1/2) V_keep* A[E,x] the Schur complement is
 S_x = A[x,x] - R_x* R_x.  The cut is the rounding level of the window,
 not a user tolerance: a coarser cut projects away directions that a
 nearly singular window still resolves.  It makes three LAPACK calls per
-window: that ``eigh``, one ``eigvalsh`` over both partial-positivity
-tests stacked, and one ``eigh`` over both Schur complements stacked,
-whose eigenpairs give the defect factors.  On windows of size 1-10 the
-cost is numpy's per-call overhead, not the factorizations.
+window: that ``eigh``, one ``eigvalsh`` over both bordered
+partial-positivity tests stacked, the window's one positivity test, and
+one ``eigh`` over both Schur complements stacked, whose eigenpairs above
+the ``RANK_EPS`` cut are the defect factors.  On windows of size 1-10
+the cost is numpy's per-call overhead, not the factorizations.
 """
 
 from __future__ import annotations
@@ -134,9 +135,11 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DefectData:
     when [[diag(w_drop), V_drop* A[E,x]], [., S_x]] is: the V_drop rows
     catch a column x with a component in the null space of A[E,E].
     Both bordered matrices have the shape |drop| + k, so one stacked
-    ``eigvalsh`` tests them (a failure on the k side is reported first),
-    and one stacked ``eigh`` factors both Schur complements as
-    :func:`gram_factor` would factor each.
+    ``eigvalsh`` tests them (a failure on the k side is reported first).
+    That is the window's one positivity test: S_x is a principal submatrix
+    of its bordered matrix, so by interlacing the test bounds lambda_min(S_x)
+    at the window's scale, and one stacked ``eigh`` factors both Schur
+    complements with the rank cut ``RANK_EPS`` alone.
     """
     i, j = P.missing
     k = P.k
@@ -172,7 +175,7 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DefectData:
     S = bordered[:, d:, d:]
     if not np.isfinite(S).all():
         raise ValueError("matrix contains NaN or Inf entries")
-    defect_k, defect_l = _gram_factors(S, tol)
+    defect_k, defect_l = _gram_factors(*np.linalg.eigh(S))
     A_kE = P.entries[i * k : (i + 1) * k, others]
     return DefectData(
         central=A_kE @ (V[:, keep] @ (B[1][keep] / w[keep][:, None])),

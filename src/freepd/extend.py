@@ -31,7 +31,7 @@ from .completion import (
     extract_gamma,
 )
 from .linalg import DEFAULT_TOL, RESIDUAL_TOL, Tolerance
-from .pdfun import BallDomain, PdFunction, WordValues, gram
+from .pdfun import BallDomain, PdFunction, WordValues
 from .words import (
     E,
     ClassCursor,
@@ -153,16 +153,14 @@ def params_from_json(doc: dict) -> tuple[GroupContext, int, int, int, dict[Class
     return ctx, k, from_n, to_n, params
 
 
-def _window(values: WordValues, cursor: ClassCursor) -> tuple[PartialBlockMatrix, list[Word]]:
-    """Partial Gram matrix over the clique of cursor, with (e, s_nu) hidden.
+def _window(values: WordValues, words: list[Word], s: Word) -> PartialBlockMatrix:
+    """The one window builder: the partial Gram matrix over ``words`` with (e, s) hidden.
 
-    ``values`` must know some value at s_nu; the hidden pair is never read
-    by :func:`analyze`, :func:`complete` or :func:`extract_gamma`.
+    ``words`` hold e and s, and ``values`` some value at s; the hidden pair is
+    never read by :func:`analyze`, :func:`complete` or :func:`extract_gamma`.
     """
-    clique = clique_C(cursor, values.index)
-    A = values.gram_blocks([values.index.ids[w] for w in clique], clique)
-    k = values.blocks.shape[1]
-    return PartialBlockMatrix(A, (clique.index(E), clique.index(cursor.rep)), k), clique
+    A = values.gram_blocks([values.index.ids[w] for w in words], words)
+    return PartialBlockMatrix(A, (words.index(E), words.index(s)), values.blocks.shape[1])
 
 
 def extend_to_ball(
@@ -194,7 +192,8 @@ def extend_to_ball(
         for cursor in index.classes(length):
             i = index.ids[cursor.rep]
             values.put(i, hidden)  # a placeholder: the window never reads it
-            P, clique = _window(values, cursor)
+            clique = clique_C(cursor, values.index)
+            P = _window(values, clique, cursor.rep)
             defects = analyze(P, tol)
             try:
                 gamma = _coerce_gamma(oracle(cursor, defects), defects.gamma_shape)
@@ -226,7 +225,7 @@ def extract_params(
     out: dict[ClassCursor, np.ndarray] = {}
     for length in range(n + 1, N + 1):
         for cursor in values.index.classes(length):
-            P, _ = _window(values, cursor)
+            P = _window(values, clique_C(cursor, values.index), cursor.rep)
             out[cursor] = extract_gamma(P, phi.value(cursor.rep), tol)
     return out
 
@@ -265,9 +264,7 @@ def check_max_orthogonal(phi: PdFunction, n: int, tol: float = RESIDUAL_TOL) -> 
     worst_class: ClassCursor | None = None
     for cursor in index.classes(n + 1):
         t = cursor.rep
-        # Sigma lies in S_n, so in lexicographic order e comes first and t last
-        S = [E, *sigma_set(phi.ctx, E, t, n, index), t]
-        P = PartialBlockMatrix(gram(phi, S).blocks, (0, len(S) - 1), phi.k)
+        P = _window(phi.table, [E, *sigma_set(phi.ctx, E, t, index), t], t)
         violation = float(np.linalg.norm(phi.value(t) - analyze(P, DEFAULT_TOL).central, 2))
         if violation > worst:
             worst = violation

@@ -105,29 +105,26 @@ def is_psd(A, tol: Tolerance = DEFAULT_TOL) -> bool:
 def gram_factor(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Factor a PSD matrix as A = W* W, with rank(A) rows in W.
 
-    Eigenvalues at most ``RANK_EPS`` times the largest are truncated; an
-    eigenvalue below the PSD floor raises :class:`NotPsdError`.  The
-    columns of W are the embedding vectors of the corresponding Gram
-    index, so slicing W columnwise yields realization data for blocked
-    inputs.
+    An eigenvalue below the PSD floor raises :class:`NotPsdError`, and
+    :func:`_gram_factors` cuts the rest at ``RANK_EPS``.  The columns of W
+    are the embedding vectors of the corresponding Gram index, so slicing W
+    columnwise yields realization data for blocked inputs.
     """
     M = as_matrix(A)
     _check_hermitian(M)
     if M.size == 0:
         return np.zeros((0, M.shape[1]), dtype=complex)
-    return _gram_factors(((M + M.conj().T) / 2.0)[None], tol)[0]
+    w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
+    floor = tol.psd_floor(w)
+    if w[0] < floor:
+        raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} below floor {floor:.3e}")
+    return _gram_factors(w[None], V[None])[0]
 
 
-def _gram_factors(M: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
-    """:func:`gram_factor` of each exactly Hermitian, finite matrix of a stack, unchecked."""
-    ws, Vs = np.linalg.eigh(M)
+def _gram_factors(ws: np.ndarray, Vs: np.ndarray) -> list[np.ndarray]:
+    """Factors W* W = V diag(w) V* of stacked ``eigh`` results at the rank cut alone: none refused."""
     factors = []
     for w, V in zip(ws[:, ::-1], Vs[:, :, ::-1]):
-        floor = tol.psd_floor(w)
-        if w[-1] < floor:
-            raise NotPsdError(
-                f"matrix is not PSD: min eigenvalue {w[-1]:.3e} below floor {floor:.3e}"
-            )
         keep = w > RANK_EPS * max(w.max(initial=0.0), 0.0)
         factors.append(np.sqrt(w[keep])[:, None] * V[:, keep].conj().T)
     return factors

@@ -130,7 +130,7 @@ def test_sigma_set_equals_ball_filter(data):
     s = draw_word(data, ctx, data.draw(st.integers(0, 4)))
     n = data.draw(st.integers(0, 3))
     t = mul(s, draw_word(data, ctx, n + 1))
-    assert sigma_set(ctx, s, t, n) == sigma_by_ball_filter(ctx, s, t, n)
+    assert sigma_set(ctx, s, t) == sigma_by_ball_filter(ctx, s, t, n)
 
 
 def test_clique_is_clique_with_unique_new_edge():
@@ -182,11 +182,11 @@ def test_chordal_all_cutoffs_on_S3():
 
 
 def test_sigma_set_examples():
-    assert sigma_set(CTX2, E, (1, 1), 1) == [(1,)]
-    assert sigma_set(CTX2, E, (1, 2, 1), 2) == [(1,), (1, 2)]
-    assert sigma_set(CTX2, E, (1,), 0) == []
+    assert sigma_set(CTX2, E, (1, 1)) == [(1,)]
+    assert sigma_set(CTX2, E, (1, 2, 1)) == [(1,), (1, 2)]
+    assert sigma_set(CTX2, E, (1,)) == []
     with pytest.raises(ValueError):
-        sigma_set(CTX2, E, (1, 1), 2)
+        sigma_set(CTX2, (1, 1), (1, 1))
 
 
 def test_sigma_set_pairwise_distances():
@@ -201,7 +201,7 @@ def test_sigma_set_pairwise_distances():
         n = distance(s, t) - 1
         if n < 0:
             continue
-        sigma = sigma_set(CTX2, s, t, n)
+        sigma = sigma_set(CTX2, s, t)
         for a, b in itertools.combinations(sigma, 2):
             assert distance(a, b) <= n
         for r in sigma:

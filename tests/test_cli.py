@@ -750,6 +750,37 @@ def test_params_class_outside_the_radii_is_bad_input(tmp_path, capfd):
         assert json.loads(err)["detail"] == f"class {tuple(word)} has a length outside (1, 2]"
 
 
+def test_params_without_its_last_class_is_bad_input(tmp_path, capfd):
+    dropped = []
+    code, err = replay_with_params(tmp_path, capfd, lambda doc: dropped.append(doc["params"].pop()))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == (
+        "parameter file does not cover the extension: "
+        f"'no recorded parameter for the class of {tuple(dropped[0]['class'])}'"
+    )
+
+
+def test_extend_down_to_a_smaller_ball_is_bad_input(tmp_path, capfd):
+    h, out = tmp_path / "h.json", tmp_path / "out.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "2", "-o", str(h))
+    code, _, err = run(capfd, "extend", str(h), "--to", "1", "-o", str(out))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == "cannot extend from S_2 down to S_1"
+    assert not out.exists()
+
+
+def test_verify_refuses_two_words_of_one_class_with_different_values(tmp_path, capfd):
+    # [1, -1, 1] reduces to [1]: not the same listed word, but the same class
+    h = tmp_path / "h.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.7", "--n", "1", "-o", str(h))
+    doc = jsonio.load_path(h)
+    doc["entries"].append({"word": [1, -1, 1], "value": [[[0.1, 0.0]]]})
+    jsonio.dump_path(h, doc)
+    code, _, err = run(capfd, "verify", str(h))
+    assert_bad_input(code, err)
+    assert json.loads(err)["detail"] == "conflicting values for the class of (1,)"
+
+
 def test_json_true_is_not_a_letter_of_a_params_class(tmp_path, capfd):
     def edit(doc):
         for item in doc["params"]:

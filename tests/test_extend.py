@@ -236,6 +236,10 @@ def test_oracle_norm_policy():
     assert verify_pd(out, tol=Tolerance(psd_eps=1e-7)).ok
     with pytest.raises(ContractionNormError):
         extend_to_ball(phi, 2, lambda cur, dd: 1.1 * np.ones(dd.gamma_shape))
+    # GAMMA_NORM_SLACK is 1e-9: an overshoot of 1e-8 is refused at the first class
+    message = r"^oracle at class \(1, 1\): completion parameter has operator norm 1\.00000001 > 1$"
+    with pytest.raises(ContractionNormError, match=message):
+        extend_to_ball(phi, 2, lambda cur, dd: (1.0 + 1e-8) * np.ones(dd.gamma_shape))
 
 
 def test_step_defects_shape():
@@ -359,12 +363,21 @@ def test_levinson_reference_is_the_one_entry_completion():
         assert abs(T[0, mid] @ x + gammas[n - 1] * errors[n - 1] - c[n]) <= 1e-12
 
 
-@pytest.mark.parametrize("heavy", [False, True])
-@pytest.mark.parametrize("seed", range(5))
-def test_f1_extension_is_the_szego_recursion(seed, heavy):
+@pytest.mark.parametrize(
+    "seed, heavy, tol",
+    [
+        pytest.param(seed, heavy, tol, id=f"{seed}-{heavy}{suffix}")
+        for tol, suffix in ((Tolerance(), ""), (Tolerance(psd_eps=1e-12), "-psd_eps=1e-12"))
+        for seed in range(5)
+        for heavy in (False, True)
+    ],
+)
+def test_f1_extension_is_the_szego_recursion(seed, heavy, tol):
     # on F_1 the engine's steps are the Szego recursion: from Phi(a) = gamma_1,
     # the oracle's gamma_n at a^n must give the Levinson values c_n; in the
-    # heavy set 30 % of the |gamma_n| are 0.999, so the errors fall below 1e-24
+    # heavy set 30 % of the |gamma_n| are 0.999, so the errors fall below 1e-24.
+    # A tighter tolerance only tightens the windows' partial-positivity test:
+    # the Schur complements' rounding is not refused at psd_eps 1e-12
     N = 30
     rng = np.random.default_rng(seed)
     modulus = rng.uniform(0, 0.999, N)
@@ -382,7 +395,7 @@ def test_f1_extension_is_the_szego_recursion(seed, heavy):
         return np.zeros(defects.gamma_shape)
 
     phi = PdFunction(CTX1, 1, BallDomain(1), {E: np.eye(1), (1,): np.array([[gammas[0]]])})
-    out, _ = extend_to_ball(phi, N, oracle)
+    out, _ = extend_to_ball(phi, N, oracle, tol)
     assert max(abs(out.value((1,) * n)[0, 0] - c[n]) for n in range(N + 1)) <= 1e-8
     # a defect may only go unresolved where the reference defect is negligible
     assert all(errors[n - 1] <= 1e-10 for n in determinate), determinate

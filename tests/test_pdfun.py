@@ -395,6 +395,35 @@ def test_json_schema_errors():
             pdfunction_from_json(doc)
 
 
+def test_conflicting_values_for_one_class():
+    # (-1,) is the other member of the class of (1,): its value is the adjoint
+    values = {E: np.eye(1), (1,): np.array([[0.3]]), (-1,): np.array([[0.1]])}
+    with pytest.raises(ValueError, match=r"^conflicting values for the class of \(1,\)$"):
+        PdFunction(CTX1, 1, BallDomain(1), values)
+    values[(-1,)] = np.array([[0.3]])
+    assert PdFunction(CTX1, 1, BallDomain(1), values).value((-1,))[0, 0] == 0.3
+
+
+def test_gram_names_a_missing_pair_off_the_first_row():
+    # row 0 is known (e, a1 and a2 lie in S_1); the pair (a1, a2) needs a1^-1 a2
+    phi = geometric(CTX2, 0.5, 1)
+    with pytest.raises(MissingValueError) as exc:
+        gram(phi, [E, (1,), (2,)])
+    assert exc.value.args[0] == "gram entry ((1,), (2,)) needs a value at (-1, 2), outside the domain"
+
+
+def test_toeplitz_of_needs_twice_the_radius():
+    phi = geometric(CTX2, 0.5, 2)
+    with pytest.raises(DomainError, match=r"^needs values on S_4, but the domain is S_2$"):
+        toeplitz_of(phi, 2)
+
+
+def test_function_of_toeplitz_needs_a_ball_index():
+    M = GramMatrix(index=(E, (1,)), k=1, blocks=np.eye(2))
+    with pytest.raises(ValueError, match=r"^index set is not the ball S_1$"):
+        function_of_toeplitz(M, CTX2)
+
+
 def test_restriction():
     phi = geometric(CTX2, 0.5, 3)
     phi2 = phi.restricted_to_ball(2)
