@@ -65,10 +65,14 @@ class EdgePredicate:
         return ctx.sort_key(diff) <= self.cutoff.key()
 
 
-def _common_neighbours(index: WordIndex, x: int, cutoff: int, bound: int) -> np.ndarray:
-    """Mask over the ids u < ``bound`` with u and x^-1 u both of class id below ``cutoff``."""
+def _common_neighbours(index: WordIndex, xs, cutoff: int, bound: int) -> np.ndarray:
+    """Masks over the ids u < ``bound`` with u and x^-1 u both of class id below ``cutoff``.
+
+    One row per x in ``xs``: :func:`clique_C` and :func:`sigma_set` pass one
+    x, ``check-ortho`` a chunk of a level.
+    """
     u = np.arange(bound)
-    return (index.cls[u] < cutoff) & (index.cls[index.diffs([x], u)[0]] < cutoff)
+    return (index.cls[u] < cutoff) & (index.cls[index.diffs(xs, u)] < cutoff)
 
 
 def clique_C(nu: ClassCursor, index: WordIndex | None = None) -> list[Word]:
@@ -86,7 +90,7 @@ def clique_C(nu: ClassCursor, index: WordIndex | None = None) -> list[Word]:
         index = WordIndex(nu.ctx, len(nu.rep))
     s = index.ids[nu.rep]
     # a word of class below nu is no longer than s_nu, so the candidates are S_|s_nu|
-    near = _common_neighbours(index, s, s, index.ends[len(nu.rep)])
+    near = _common_neighbours(index, [s], s, index.ends[len(nu.rep)])[0]
     near[[0, s]] = True  # e and s_nu, each at class nu from the other
     return [index.words[i] for i in np.flatnonzero(near).tolist()]
 
@@ -105,6 +109,6 @@ def sigma_set(ctx: GroupContext, s: Word, t: Word, index: WordIndex | None = Non
     if index is None:
         index = WordIndex(ctx, len(x))
     inner = index.ends[len(x) - 1]  # S_n: the words, and the classes, of id below this
-    near = _common_neighbours(index, index.ids[x], inner, inner)
+    near = _common_neighbours(index, [index.ids[x]], inner, inner)[0]
     out = (mul(s, index.words[i]) for i in np.flatnonzero(near).tolist())
     return sorted(out, key=ctx.sort_key)

@@ -30,7 +30,9 @@ window: that ``eigh``, one ``eigvalsh`` over both bordered
 partial-positivity tests stacked, the window's one positivity test, and
 one ``eigh`` over both Schur complements stacked, whose eigenpairs above
 the ``RANK_EPS`` cut are the defect factors.  On windows of size 1-10
-the cost is numpy's per-call overhead, not the factorizations.
+the cost is numpy's per-call overhead, not the factorizations, so a stack
+of windows of one shape makes the same calls once for the whole stack
+(the ``eigvalsh`` once per dropped count).
 """
 
 from __future__ import annotations
@@ -67,12 +69,13 @@ class CompletionError(ValueError):
 
 @dataclass(frozen=True)
 class PartialBlockMatrix:
-    """A p x p Hermitian block matrix with one unknown off-diagonal pair.
+    """A p x p Hermitian block matrix with one unknown off-diagonal pair, or a stack of them.
 
     ``entries`` holds the known blocks in a dense (p*k) x (p*k) array with
-    the missing pair zero-filled; ``missing`` names the unknown block pair
-    (i, j), i != j.  All diagonal blocks must be present and the known
-    part must be Hermitian.
+    the missing pair zero-filled, or a (C, p*k, p*k) stack of C such
+    windows; ``missing`` names the unknown block pair (i, j), i != j, the
+    same for every window of a stack.  All diagonal blocks must be present
+    and the known part must be Hermitian.
     """
 
     entries: np.ndarray
@@ -81,29 +84,31 @@ class PartialBlockMatrix:
     p: int = field(init=False)
 
     def __post_init__(self):
-        M = as_matrix(self.entries)
-        if M.shape[0] != M.shape[1] or M.shape[0] % self.k != 0:
+        M = as_matrix(self.entries, stacked=True)
+        n = M.shape[-1]
+        if M.shape[-2] != n or n % self.k != 0:
             raise ValueError(f"entries of shape {M.shape} not square in {self.k}-blocks")
-        p = M.shape[0] // self.k
+        p = n // self.k
         i, j = self.missing
         if not (0 <= i < p and 0 <= j < p and i != j):
             raise ValueError(f"missing pair {self.missing} invalid for p = {p}")
         object.__setattr__(self, "entries", M)
         object.__setattr__(self, "missing", (int(i), int(j)))
         object.__setattr__(self, "p", p)
-        _check_hermitian(M)
+        for window in M if M.ndim == 3 else [M]:
+            _check_hermitian(window)
 
     def block(self, i: int, j: int) -> np.ndarray:
         k = self.k
-        return self.entries[i * k : (i + 1) * k, j * k : (j + 1) * k]
+        return self.entries[..., i * k : (i + 1) * k, j * k : (j + 1) * k]
 
     def completed_with(self, filled: np.ndarray) -> np.ndarray:
-        """Dense matrix with the missing pair set to ``filled`` and its adjoint."""
+        """Dense matrix with the missing pair set to ``filled`` and its adjoint, per window of a stack."""
         i, j = self.missing
         k = self.k
         M = self.entries.copy()
-        M[i * k : (i + 1) * k, j * k : (j + 1) * k] = filled
-        M[j * k : (j + 1) * k, i * k : (i + 1) * k] = filled.conj().T
+        M[..., i * k : (i + 1) * k, j * k : (j + 1) * k] = filled
+        M[..., j * k : (j + 1) * k, i * k : (i + 1) * k] = filled.conj().swapaxes(-1, -2)
         return M
 
 
@@ -126,7 +131,7 @@ class DefectData:
         return (self.defect_k.shape[0], self.defect_l.shape[0])
 
 
-def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DefectData:
+def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL):
     """Central entry and defect factors of a partially positive matrix.
 
     Raises :class:`PartialPositivityError` (naming the offending
@@ -140,48 +145,69 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DefectData:
     of its bordered matrix, so by interlacing the test bounds lambda_min(S_x)
     at the window's scale, and one stacked ``eigh`` factors both Schur
     complements with the rank cut ``RANK_EPS`` alone.
+
+    A stack of windows gets one list of :class:`DefectData`, each what the
+    window alone gives, bit for bit: every LAPACK call and product runs on
+    the stack, and the bordered test on the windows of each dropped count
+    at once.  A failure raises the error of the first failing window.
     """
     i, j = P.missing
     k = P.k
-    block = np.arange(P.p * k) // k
-    others = (block != i) & (block != j)
-    rows = P.entries[others]
-    A_EE = rows[:, others]
+    A = P.entries if P.entries.ndim == 3 else P.entries[None]
+    others = np.ones(P.p * k, dtype=bool)
+    others[i * k : (i + 1) * k] = others[j * k : (j + 1) * k] = False
+    # each product below takes its operands in the memory layout of the
+    # single-window code it replaced (the BLAS path, and so the rounding,
+    # follows the layout): rows and Schur terms C-ordered, V_keep and A_kE
+    # F-ordered, as boolean gathers of columns leave them
+    rows = A.compress(others, axis=1)
+    A_EE = rows.compress(others, axis=2)
+    A_kE = A[:, i * k : (i + 1) * k].swapaxes(1, 2).compress(others, axis=1).swapaxes(1, 2)
     w, V = np.linalg.eigh(A_EE)
-    keep = w > A_EE.shape[0] * np.finfo(float).eps * max(w.max(initial=0.0), 0.0)
-    scale = max(1.0, np.abs(w).max(initial=0.0))
+    keep = w > A_EE.shape[1] * np.finfo(float).eps * w.max(axis=1, initial=0.0)[:, None]
+    scale = np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
     # V* A[E,k] and V* A[E,l] stay two products: one fused product rounds differently
-    B = [V.conj().T @ rows[:, x * k : (x + 1) * k] for x in (i, j)]
-    drop = ~keep
-    d = np.count_nonzero(drop)
-    bordered = np.zeros((2, d + k, d + k), dtype=complex)
-    bordered[:, :d, :d] = np.diag(w[drop])
-    root = np.sqrt(w[keep])[:, None]
+    Vh = V.conj().swapaxes(1, 2)
+    B = np.empty((A.shape[0], 2, A_EE.shape[1], k), dtype=complex)
     for n, x in enumerate((i, j)):
-        R_x = B[n][keep] / root
-        S_x = P.block(x, x) - R_x.conj().T @ R_x
-        bordered[n, d:, d:] = (S_x + S_x.conj().T) / 2.0
-        bordered[n, :d, d:] = B[n][drop]
-        bordered[n, d:, :d] = B[n][drop].conj().T
-    mu = np.linalg.eigvalsh(bordered)
-    # not Tolerance.psd_floor: the scale also takes in A_EE's spectrum, which
-    # the bordered matrices do not contain
-    floor = -tol.psd_eps * np.maximum(scale, np.abs(mu).max(axis=1))
-    for y, bad in zip((j, i), mu.min(axis=1) < floor):
-        if bad:
-            raise PartialPositivityError(
-                f"partial positivity violated: submatrix without block {y} is not PSD"
-            )
-    S = bordered[:, d:, d:]
-    if not np.isfinite(S).all():
+        np.matmul(Vh, rows[:, :, x * k : (x + 1) * k], out=B[:, n])
+    A_xx = A.reshape(-1, P.p, k, P.p, k)[:, [i, j], :, [i, j]].swapaxes(0, 1)
+    # w ascends, so each window drops its d smallest eigenvalues
+    drops = (~keep).sum(axis=1)
+    counts = sorted(set(drops.tolist()))
+    S = np.empty((A.shape[0], 2, k, k), dtype=complex)
+    bad = np.empty((A.shape[0], 2), dtype=bool)
+    central = np.empty((A.shape[0], k, k), dtype=complex)
+    for d in counts:
+        g = slice(None) if len(counts) == 1 else drops == d
+        B_g = B[g]
+        R = B_g[:, :, d:] / np.sqrt(w[g, None, d:, None])
+        S_g = A_xx[g] - R.conj().swapaxes(2, 3) @ R
+        m = d + k
+        bordered = np.zeros((len(B_g), 2, m, m), dtype=complex)
+        bordered.reshape(-1, 2, m * m)[:, :, : d * (m + 1) : m + 1] = w[g, None, :d]  # diag(w_drop)
+        bordered[:, :, d:, d:] = (S_g + S_g.conj().swapaxes(2, 3)) / 2.0
+        bordered[:, :, :d, d:] = B_g[:, :, :d]
+        bordered[:, :, d:, :d] = B_g[:, :, :d].conj().swapaxes(2, 3)
+        mu = np.linalg.eigvalsh(bordered)
+        # not Tolerance.psd_floor: the scale also takes in A_EE's spectrum, which
+        # the bordered matrices do not contain
+        floor = -tol.psd_eps * np.maximum(scale[g, None], np.abs(mu).max(axis=2))
+        bad[g] = mu.min(axis=2) < floor
+        S[g] = bordered[:, :, d:, d:]
+        V_keep = np.ascontiguousarray(V[g].swapaxes(1, 2)[:, d:]).swapaxes(1, 2)
+        central[g] = A_kE[g] @ (V_keep @ (B_g[:, 1, d:] / w[g, d:, None]))
+    if bad.any() or not np.isfinite(S).all():
+        fails = bad.any(axis=1) | ~np.isfinite(S).all(axis=(1, 2, 3))
+        for y, side in zip((j, i), bad[fails.argmax()]):
+            if side:
+                raise PartialPositivityError(
+                    f"partial positivity violated: submatrix without block {y} is not PSD"
+                )
         raise ValueError("matrix contains NaN or Inf entries")
-    defect_k, defect_l = _gram_factors(*np.linalg.eigh(S))
-    A_kE = P.entries[i * k : (i + 1) * k, others]
-    return DefectData(
-        central=A_kE @ (V[:, keep] @ (B[1][keep] / w[keep][:, None])),
-        defect_k=defect_k,
-        defect_l=defect_l,
-    )
+    factors = _gram_factors(*np.linalg.eigh(S.reshape(-1, k, k)))
+    out = [DefectData(central[c], *factors[2 * c : 2 * c + 2]) for c in range(len(central))]
+    return out if P.entries.ndim == 3 else out[0]
 
 
 def _coerce_gamma(gamma, shape: tuple[int, int]) -> np.ndarray:
@@ -216,22 +242,32 @@ def complete(
 
 def extract_gamma(
     P: PartialBlockMatrix, filled: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+):
     """The contraction parameter of a given PSD completion.
 
     Inverse of :func:`complete` wherever both defects have full rank; on
     rank-deficient defects the minimal-norm representative is returned
-    (components annihilated by zero defects are unrecoverable).
+    (components annihilated by zero defects are unrecoverable).  A stack
+    of windows takes a (C, k, k) stack of entries and gives a list of
+    parameters, from one :func:`analyze` and one completion test of the
+    stack, with the pseudo-inverses taken window by window.  Each check
+    runs over the whole stack before the next and names its first
+    failing window.
     """
     dd = analyze(P, tol)
-    F = as_matrix(filled)
-    if F.shape != (P.k, P.k):
-        raise ValueError(f"filled entry has shape {F.shape}, expected {(P.k, P.k)}")
-    if not is_psd(P.completed_with(F), tol):
+    F = as_matrix(filled, stacked=True)
+    shape = (*P.entries.shape[:-2], P.k, P.k)
+    if F.shape != shape:
+        raise ValueError(f"filled entry has shape {F.shape}, expected {shape}")
+    if not np.all(is_psd(P.completed_with(F), tol)):
         raise CompletionError("the proposed entry does not give a PSD completion")
-    g = pinv(dd.defect_k.conj().T) @ (F - dd.central) @ pinv(dd.defect_l)
     message = (
         "extracted parameter has operator norm {:.6g}; "
         "the completion is inconsistent with the defect geometry"
     )
-    return _renormalized(g, EXTRACT_NORM_SLACK, CompletionError, message)
+    stacked = F.ndim == 3
+    out = []
+    for d, F_c in zip(dd if stacked else [dd], F if stacked else [F]):
+        g = pinv(d.defect_k.conj().T) @ (F_c - d.central) @ pinv(d.defect_l)
+        out.append(_renormalized(g, EXTRACT_NORM_SLACK, CompletionError, message))
+    return out if stacked else out[0]

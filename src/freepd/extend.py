@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import jsonio
-from .cayley import clique_C, sigma_set
+from .cayley import _common_neighbours, clique_C
 from .completion import (
     DefectData,
     ContractionNormError,
@@ -153,14 +153,26 @@ def params_from_json(doc: dict) -> tuple[GroupContext, int, int, int, dict[Class
     return ctx, k, from_n, to_n, params
 
 
-def _window(values: WordValues, words: list[Word], s: Word) -> PartialBlockMatrix:
-    """The one window builder: the partial Gram matrix over ``words`` with (e, s) hidden.
+def _window(values: WordValues, ids, missing: tuple[int, int]) -> PartialBlockMatrix:
+    """The one window builder: the partial Gram matrix over the words of ``ids`` with (e, s) hidden.
 
-    ``words`` hold e and s, and ``values`` some value at s; the hidden pair is
-    never read by :func:`analyze`, :func:`complete` or :func:`extract_gamma`.
+    ``ids`` lists one window's word ids, or holds one row per window of a
+    stack; ``missing`` gives the positions of e and s, the same in every
+    row.  ``values`` holds some value at s; the hidden pair is never read by
+    :func:`analyze`, :func:`complete` or :func:`extract_gamma`.
     """
-    A = values.gram_blocks([values.index.ids[w] for w in words], words)
-    return PartialBlockMatrix(A, (words.index(E), words.index(s)), values.blocks.shape[1])
+    return PartialBlockMatrix(values.gram_blocks(ids), missing, values.blocks.shape[1])
+
+
+#: Window entries analysed at once by ``params`` and ``check-ortho``: whole
+#: levels at once raised the peak memory of a ``central`` benchmark round by 8 %.
+_WINDOW_CHUNK = 1 << 13
+
+
+def _chunks(p: int, k: int, count: int):
+    """Slices of ``count`` windows of p k-blocks, at most ``_WINDOW_CHUNK`` entries a slice."""
+    step = max(1, _WINDOW_CHUNK // (p * k) ** 2)
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def extend_to_ball(
@@ -193,7 +205,7 @@ def extend_to_ball(
             i = index.ids[cursor.rep]
             values.put(i, hidden)  # a placeholder: the window never reads it
             clique = clique_C(cursor, values.index)
-            P = _window(values, clique, cursor.rep)
+            P = _window(values, *_in_order(index, clique, cursor.rep))
             defects = analyze(P, tol)
             try:
                 gamma = _coerce_gamma(oracle(cursor, defects), defects.gamma_shape)
@@ -217,17 +229,48 @@ def extract_params(
     the window analyzed, and the parameter of the actual value extracted;
     replaying :func:`extend_to_ball` with the result reproduces phi
     (exactly on full-rank defects, minimal-norm representative otherwise).
+    Every window is fully known, so the windows of one length and one size
+    are extracted as stacks, with (e, s_nu) moved to the last two blocks
+    and the other blocks kept in order: A[E,E] and the parameter stay
+    those of the window alone, bit for bit.  A failure is raised class by
+    class, as the first failing class in order names it.
     """
     N = phi.ball_radius()
     if not 0 <= n <= N:
         raise ValueError(f"base radius must lie in 0..{N}, got {n}")
     values = phi.table
+    index = values.index
     out: dict[ClassCursor, np.ndarray] = {}
     for length in range(n + 1, N + 1):
-        for cursor in values.index.classes(length):
-            P = _window(values, clique_C(cursor, values.index), cursor.rep)
-            out[cursor] = extract_gamma(P, phi.value(cursor.rep), tol)
+        cursors = list(index.classes(length))
+        cliques = [clique_C(cursor, index) for cursor in cursors]
+        gammas: list = [None] * len(cursors)
+        try:
+            for p in sorted(set(map(len, cliques))):
+                group = [c for c, clique in enumerate(cliques) if len(clique) == p]
+                for part in _chunks(p, phi.k, len(group)):
+                    members = group[part]
+                    ids = np.array([_pair_last(index, cliques[c], cursors[c].rep) for c in members])
+                    P = _window(values, ids, (p - 2, p - 1))
+                    for c, gamma in zip(members, extract_gamma(P, values.blocks[ids[:, -1]], tol)):
+                        gammas[c] = gamma
+        except ValueError:  # a stack checks stage by stage: name the first failing class
+            for cursor, clique in zip(cursors, cliques):
+                P = _window(values, *_in_order(index, clique, cursor.rep))
+                extract_gamma(P, phi.value(cursor.rep), tol)
+            raise
+        out.update(zip(cursors, gammas))
     return out
+
+
+def _in_order(index: WordIndex, clique: list[Word], s: Word) -> tuple[list[int], tuple[int, int]]:
+    """The ids of a clique in its order, and the positions of e and s."""
+    return [index.ids[w] for w in clique], (clique.index(E), clique.index(s))
+
+
+def _pair_last(index: WordIndex, clique: list[Word], s: Word) -> list[int]:
+    """The ids of a clique with e and s moved, in that order, behind its other words."""
+    return [index.ids[w] for w in clique if w != E and w != s] + [0, index.ids[s]]
 
 
 @dataclass(frozen=True)
@@ -260,12 +303,22 @@ def check_max_orthogonal(phi: PdFunction, n: int, tol: float = RESIDUAL_TOL) -> 
     if N < n + 1:
         raise ValueError(f"needs values on S_{n + 1}, but the domain is S_{N}")
     index = phi.table.index
+    cursors = list(index.classes(n + 1))
+    ts = np.array([index.ids[cursor.rep] for cursor in cursors])
+    inner = index.ends[n]  # S_n: Sigma's words, and its cutoff class ids, lie below this
+    # on the tree every Sigma(e, t) of one length has one size
+    p = np.count_nonzero(_common_neighbours(index, ts[:1], inner, inner)) + 2
+    violations: list[float] = []
+    for part in _chunks(p, phi.k, ts.size):
+        t = ts[part]
+        sigma = np.nonzero(_common_neighbours(index, t, inner, inner))[1].reshape(t.size, p - 2)
+        P = _window(phi.table, np.column_stack([np.zeros_like(t), sigma, t]), (0, p - 1))
+        gaps = phi.table.blocks[t] - np.array([dd.central for dd in analyze(P, DEFAULT_TOL)])
+        # the spectral norm of each gap, as np.linalg.norm(gap, 2) takes it
+        violations += np.linalg.svd(gaps, compute_uv=False)[:, 0].tolist()
     worst = 0.0
     worst_class: ClassCursor | None = None
-    for cursor in index.classes(n + 1):
-        t = cursor.rep
-        P = _window(phi.table, [E, *sigma_set(phi.ctx, E, t, index), t], t)
-        violation = float(np.linalg.norm(phi.value(t) - analyze(P, DEFAULT_TOL).central, 2))
+    for cursor, violation in zip(cursors, violations):
         if violation > worst:
             worst = violation
             worst_class = cursor

@@ -54,19 +54,23 @@ class Tolerance:
         if not 0 < self.psd_eps < np.inf:
             raise ValueError("tolerances must be strictly positive and finite")
 
-    def psd_floor(self, w: np.ndarray) -> float:
-        """The least eigenvalue a PSD spectrum w may show: -psd_eps * max(1, max |w|)."""
-        return -self.psd_eps * max(1.0, np.abs(w).max())
+    def psd_floor(self, w: np.ndarray):
+        """The least eigenvalue a PSD spectrum w may show: -psd_eps * max(1, max |w|).
+
+        A stack of spectra, one per row, gets one floor per row.
+        """
+        return -self.psd_eps * np.maximum(1.0, np.abs(w).max(axis=-1))
 
 
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(A) -> np.ndarray:
-    """Coerce to a finite complex 2-d array; NaN/Inf are rejected."""
+def as_matrix(A, stacked: bool = False) -> np.ndarray:
+    """Coerce to a finite complex 2-d array, or a 3-d stack with ``stacked``; NaN/Inf are rejected."""
     M = np.asarray(A, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {M.shape}")
+    if M.ndim != 2 and not (stacked and M.ndim == 3):
+        expected = "a matrix or a stack of matrices" if stacked else "a matrix"
+        raise ValueError(f"expected {expected}, got shape {M.shape}")
     if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
         raise ValueError("matrix contains NaN or Inf entries")
     return M
@@ -92,14 +96,19 @@ def eig_hermitian(A) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
-def is_psd(A, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -psd_eps * max(1, ||A||)."""
-    M = as_matrix(A)
-    _check_hermitian(M)
+def is_psd(A, tol: Tolerance = DEFAULT_TOL):
+    """True iff the smallest eigenvalue is >= -psd_eps * max(1, ||A||).
+
+    A stack of matrices is tested by one stacked ``eigvalsh``, with one
+    answer per matrix.
+    """
+    M = as_matrix(A, stacked=True)
+    for window in M if M.ndim == 3 else [M]:
+        _check_hermitian(window)
     if M.size == 0:
-        return True
-    w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-    return w.min() >= tol.psd_floor(w)
+        return np.ones(M.shape[:-2], dtype=bool)[()]
+    w = np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2.0)
+    return w.min(axis=-1) >= tol.psd_floor(w)
 
 
 def gram_factor(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

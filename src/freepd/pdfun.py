@@ -298,18 +298,25 @@ class WordValues:
         reps = np.flatnonzero(self.known & ~self.index.adj)
         return {self.index.words[i]: self.blocks[i] for i in reps}
 
-    def gram_blocks(self, ids: Sequence[int], words: Sequence[Word]) -> np.ndarray:
+    def gram_blocks(self, ids, words: Sequence[Word] | None = None) -> np.ndarray:
         """The blocked matrix [Phi(s^-1 t)] over the words with these ids.
 
-        A value that is not known raises :class:`MissingValueError` naming the
-        first offending pair, row by row.
+        A 2-d array of ids, one row per window, gives a stack of them.  A value
+        that is not known raises :class:`MissingValueError` naming the first
+        offending pair, row by row, among ``words`` (by default the words of
+        the ids).
         """
+        ids = np.asarray(ids, dtype=np.intp)
         table = self.index.diffs(ids, ids)
         missing = ~self.known[table]
         if missing.any():
-            raise _missing_pair(words, *np.argwhere(missing)[0])
-        N, k = len(ids), self.blocks.shape[1]
-        return self.blocks[table].transpose(0, 2, 1, 3).reshape(N * k, N * k)
+            *window, i, j = np.argwhere(missing)[0]
+            if words is None:
+                words = [self.index.words[u] for u in ids[tuple(window)]]
+            raise _missing_pair(words, i, j)
+        *stack, N = ids.shape
+        k = self.blocks.shape[1]
+        return self.blocks[table].swapaxes(-3, -2).reshape(*stack, N * k, N * k)
 
 
 def _missing_pair(words: Sequence[Word], i: int, j: int) -> MissingValueError:

@@ -273,12 +273,16 @@ class WordIndex:
     def diffs(self, left, right) -> np.ndarray:
         """The ids of left_i^-1 right_j, for ids in S_R; the sentinel where that lies outside S_R.
 
-        Multiplies left_i^-1 by the letters of right_j one at a time.  In a tree
-        every partial product is within max(|left_i|, |left_i^-1 right_j|) of e,
-        so a product ends outside S_R exactly when it leaves it on the way.
+        Id arrays of shape (..., L) and (..., M), where right has the leading
+        axes of left or none, give a table of shape (..., L, M): a stack of
+        windows gets one table per window.  Multiplies left_i^-1 by the letters of
+        right_j one at a time.  In a tree every partial product is within
+        max(|left_i|, |left_i^-1 right_j|) of e, so a product ends outside
+        S_R exactly when it leaves it on the way.
         """
         right = np.asarray(right, dtype=np.intp)
-        out = np.repeat(self.inv[left][:, None], right.size, axis=1)
+        out = np.repeat(self.inv[left][..., None], right.shape[-1], axis=-1)
+        right = right[..., None, :]
         longest = len(self.words[right.max()]) if right.size else 0  # ids follow length
         for _ in range(longest):  # e's first letter is the e column, so short words idle
             out = self.times[out, self.first[right]]

@@ -295,6 +295,61 @@ def test_check_ortho_on_non_positive_input(tmp_path, capfd):
     assert diag["worst_class"] == [1]
 
 
+def test_check_ortho_on_a_window_that_is_not_positive(tmp_path, capfd):
+    # Phi(a_1) = 1.5 and zero elsewhere off e: at level 1 the window of
+    # t = a_1 a_1 is {e, a_1, t}, whose known submatrix over {e, a_1}, the
+    # one without block 2, is not PSD: a math failure, not a violation
+    ctx = GroupContext(2)
+    values = {w: 1.5 if w == (1,) else 0.0 for w in ball(ctx, 2) if w}
+    values[E] = 1.0
+    doc = {
+        "schema": "pdfun.v1",
+        "m": 2,
+        "k": 1,
+        "letter_order": [1, -1, 2, -2],
+        "domain": {"type": "ball", "n": 2},
+        "entries": [
+            {"word": list(w), "value": [[[v, 0.0]]]}
+            for w, v in values.items()
+            if ctx.sort_key(w) <= ctx.sort_key(inverse(w))
+        ],
+    }
+    f = tmp_path / "bad.json"
+    jsonio.dump_path(f, doc)
+    code, out, err = run(capfd, "check-ortho", str(f), "--level", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        '{"error": "math-failure", "detail": '
+        '"partial positivity violated: submatrix without block 2 is not PSD"}\n'
+    )
+
+
+def test_check_ortho_and_params_bytes_do_not_depend_on_the_chunk(tmp_path, capfd):
+    # central F_3 k=1 S_1 -> S_4: level 3 has 375 classes, more than one
+    # default chunk of Sigma-windows; one window per chunk prints the same
+    phi = tmp_path / "phi.json"
+    jsonio.dump_path(phi, random_pd_function(GroupContext(3), 1, 1, np.random.default_rng(3)).to_json_dict())
+    ext = tmp_path / "ext.json"
+    assert run(capfd, "extend", str(phi), "--to", "4", "--central", "-o", str(ext))[0] == 0
+
+    def outputs(tag):
+        printed = [run(capfd, "check-ortho", str(ext), "--level", str(n)) for n in range(4)]
+        params = tmp_path / f"params_{tag}.json"
+        assert run(capfd, "params", str(ext), "--from", "1", "-o", str(params))[0] == 0
+        return printed, params.read_bytes()
+
+    with mock.patch.object(freepd.extend, "analyze", wraps=freepd.extend.analyze) as analyze:
+        default = outputs("default")
+        chunked = analyze.call_count
+    with mock.patch.object(freepd.extend, "_WINDOW_CHUNK", 1):
+        with mock.patch.object(freepd.extend, "analyze", wraps=freepd.extend.analyze) as analyze:
+            assert outputs("one") == default
+    # one call per window, against fewer calls per default chunk
+    assert analyze.call_count > chunked + 375
+    # the input is not central on S_1, so only levels 1-3 are orthogonal
+    assert [code for code, _, _ in default[0]] == [1, 0, 0, 0]
+
+
 def test_extend_refuses_a_non_positive_input_at_its_first_step(tmp_path, capfd):
     # a real F_2 function on S_2 whose Gram matrix over S_1 has least
     # eigenvalue -0.196: the sequential engine refuses it at its first step,

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from freepd import jsonio
-from freepd.completion import ContractionNormError
+from freepd.cayley import clique_C, sigma_set
+from freepd.completion import CompletionError, ContractionNormError, analyze, extract_gamma
 from freepd.linalg import Tolerance
 from freepd.extend import (
+    _window,
     check_max_orthogonal,
     extend_to_ball,
     extract_params,
@@ -416,3 +418,73 @@ def test_extract_replay_values_at_radius_4():
         replay, _ = extend_to_ball(phi, 4, oracle_from_params(extract_params(out, 2)))
         drift = max(np.abs(replay.value(w) - out.value(w)).max() for w in ball(CTX2, 4))
         assert drift <= 1e-8, (seed, drift)
+
+
+def _reference_report(phi, n):
+    """check_max_orthogonal class by class: Sigma(e, t), one window and one analyze per class."""
+    index = phi.table.index
+    worst, worst_class = 0.0, None
+    for cursor in index.classes(n + 1):
+        t = cursor.rep
+        words = [E, *sigma_set(phi.ctx, E, t, index), t]
+        P = _window(phi.table, [index.ids[w] for w in words], (0, len(words) - 1))
+        violation = float(np.linalg.norm(phi.value(t) - analyze(P).central, 2))
+        if violation > worst:
+            worst, worst_class = violation, cursor
+    return worst, worst_class
+
+
+def _reference_params(phi, n):
+    """extract_params class by class: the clique window and one extract_gamma per class."""
+    index = phi.table.index
+    out = {}
+    for length in range(n + 1, phi.ball_radius() + 1):
+        for cursor in index.classes(length):
+            clique = clique_C(cursor, index)
+            ids = [index.ids[w] for w in clique]
+            P = _window(phi.table, ids, (clique.index(E), clique.index(cursor.rep)))
+            out[cursor] = extract_gamma(P, phi.value(cursor.rep))
+    return out
+
+
+def _outcome(compute):
+    try:
+        return "value", compute()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_stacked_checks_equal_the_per_class_loops():
+    # check-ortho analyses each level in stacks of Sigma-windows and params
+    # each length in stacks of clique windows of one size: both give what the
+    # class-by-class loops give, bit for bit, on a central and a
+    # random-oracle extension and on functions that are not positive.  In
+    # the damaged one, a stack meets a failure that a class earlier in the
+    # order, in another stack, fails differently: the error is that class's
+    phi = random_pd_function(CTX2, 2, 2, np.random.default_rng(7))
+    central, _ = extend_to_ball(phi, 4)
+    oracle, _ = extend_to_ball(phi, 4, random_gamma_oracle(7))
+    values = {E: np.eye(1), (1,): np.array([[1.5]]), (2,): np.zeros((1, 1))}
+    bad = PdFunction(CTX2, 1, BallDomain(1), values)
+    ctx3 = GroupContext(3)
+    values = extend_to_ball(random_pd_function(ctx3, 1, 1, np.random.default_rng(7)), 3)[0].table.by_class()
+    values[(1, -2)] = 3.0 * values[(1, -2)]
+    damaged = PdFunction(ctx3, 1, BallDomain(3), values)
+    with pytest.raises(CompletionError, match="does not give a PSD completion"):
+        extract_params(damaged, 0)
+    for f in (central, oracle, bad, damaged):
+        N = f.ball_radius()
+        for n in range(N):
+            report = check_max_orthogonal(f, n)
+            assert (report.worst_violation, report.worst_class) == _reference_report(f, n)
+        for n in range(N):
+            got, expected = _outcome(lambda: extract_params(f, n)), _outcome(lambda: _reference_params(f, n))
+            assert got[0] == expected[0]
+            if got[0] != "value":
+                assert got[1] == expected[1]
+                continue
+            assert list(got[1]) == list(expected[1])
+            for cursor, gamma in expected[1].items():
+                assert got[1][cursor].shape == gamma.shape and np.array_equal(got[1][cursor], gamma)
+    assert check_max_orthogonal(central, 3).worst_violation > 0.0  # the reports are not all zero
+    assert check_max_orthogonal(oracle, 3).worst_class is not None

@@ -4,7 +4,7 @@
 and both defect factorizations in one ``eigh``.  These properties pin it,
 bit for bit and error for error, to a reference that makes one LAPACK
 call per matrix and factors each Schur complement through the checked
-:func:`eig_hermitian`.
+:func:`eig_hermitian`, and a stack of windows to each window alone.
 """
 
 import numpy as np
@@ -92,6 +92,33 @@ def _assert_same(got, expected):
         assert got[1] == expected[1]
 
 
+def _gram_window(draw, rng, k, p, kind, rank=None):
+    """One Hermitian window of p k-blocks, of the kind :func:`windows` describes."""
+    n = p * k
+    if kind == "psd":
+        rank = n
+    elif kind == "indefinite":
+        rank = n + 1
+    elif rank is None:
+        rank = draw(st.integers(0, n - 1))
+    if kind == "exact":
+        W = rng.integers(-2, 3, (rank, n)) + 1j * rng.integers(-2, 3, (rank, n))
+    else:
+        W = rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))
+    signs = np.ones(rank)
+    if kind == "indefinite":
+        signs[: draw(st.integers(1, 2))] = -draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    A = (W.conj().T * signs) @ W * draw(st.sampled_from([2.0**-10, 1.0, 2.0**10]))
+    return (A + A.conj().T) / 2.0
+
+
+def _hidden(A, i, j, k):
+    M = A.copy()
+    M[i * k : (i + 1) * k, j * k : (j + 1) * k] = 0.0
+    M[j * k : (j + 1) * k, i * k : (i + 1) * k] = 0.0
+    return M
+
+
 @st.composite
 def windows(draw):
     """A Hermitian window with a hidden block pair.
@@ -106,29 +133,10 @@ def windows(draw):
     """
     k = draw(st.integers(1, 3))
     p = draw(st.integers(2, 6))
-    n = p * k
     kind = draw(st.sampled_from(["psd", "lowrank", "exact", "indefinite"]))
     i, j = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "psd":
-        rank = n
-    elif kind == "indefinite":
-        rank = n + 1
-    else:
-        rank = draw(st.integers(0, n - 1))
-    if kind == "exact":
-        W = rng.integers(-2, 3, (rank, n)) + 1j * rng.integers(-2, 3, (rank, n))
-    else:
-        W = rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))
-    signs = np.ones(rank)
-    if kind == "indefinite":
-        signs[: draw(st.integers(1, 2))] = -draw(st.sampled_from([1e-3, 0.1, 1.0]))
-    A = (W.conj().T * signs) @ W * draw(st.sampled_from([2.0**-10, 1.0, 2.0**10]))
-    A = (A + A.conj().T) / 2.0
-    M = A.copy()
-    M[i * k : (i + 1) * k, j * k : (j + 1) * k] = 0.0
-    M[j * k : (j + 1) * k, i * k : (i + 1) * k] = 0.0
-    return PartialBlockMatrix(M, (i, j), k)
+    return PartialBlockMatrix(_hidden(_gram_window(draw, rng, k, p, kind), i, j, k), (i, j), k)
 
 
 @kernel_property
@@ -139,6 +147,67 @@ def test_analyze_matches_per_matrix_kernel(P):
         return dd.central, dd.defect_k, dd.defect_l
 
     _assert_same(_outcome(stacked), _outcome(lambda: _reference_analyze(P)))
+
+
+@st.composite
+def window_stacks(draw, failing: bool):
+    """2-6 windows of one shape and one hidden pair, as one stacked partial matrix.
+
+    One window is positive definite and one has a Gram matrix of fewer
+    vectors than |E| columns, so A[E,E] is full rank in one and rank
+    deficient in the other and the dropped count differs inside the stack;
+    the rest are of any kind of :func:`windows`.  With ``failing``, one
+    window has a negative diagonal block, so a submatrix that both
+    positivity tests see is not PSD.
+    """
+    k = draw(st.integers(1, 3))
+    p = draw(st.integers(3, 6))
+    i, j = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["psd", draw(st.sampled_from(["lowrank", "exact"]))]
+    kinds += draw(st.lists(st.sampled_from(["psd", "lowrank", "exact", "indefinite"]), max_size=3))
+    stack = []
+    for kind in draw(st.permutations(kinds)):
+        rank = draw(st.integers(0, (p - 2) * k - 1)) if kind != "psd" else None
+        stack.append(_gram_window(draw, rng, k, p, kind, rank))
+    if failing:
+        b = draw(st.sampled_from([x for x in range(p) if x not in (i, j)]))
+        bad = stack[0].copy()
+        bad[b * k : (b + 1) * k, b * k : (b + 1) * k] = -np.eye(k)
+        stack.insert(draw(st.integers(0, len(stack))), bad)
+    return PartialBlockMatrix(np.array([_hidden(A, i, j, k) for A in stack]), (i, j), k)
+
+
+def _alone(P):
+    """Each window of a stack on its own: the outcome of ``analyze``, as arrays or an error."""
+
+    def one(W):
+        dd = analyze(W)
+        return dd.central, dd.defect_k, dd.defect_l
+
+    return [_outcome(lambda W=W: one(PartialBlockMatrix(W, P.missing, P.k))) for W in P.entries]
+
+
+@kernel_property
+@given(window_stacks(failing=False))
+def test_stacked_analyze_is_each_window_alone(P):
+    alone = _alone(P)
+    failures = [outcome for outcome in alone if outcome[0] != "value"]
+    got = _outcome(lambda: [(dd.central, dd.defect_k, dd.defect_l) for dd in analyze(P)])
+    if failures:  # an indefinite window: the first one's error
+        _assert_same(got, failures[0])
+    else:
+        assert got[0] == "value" and len(got[1]) == len(alone)
+        for arrays, expected in zip(got[1], alone):
+            _assert_same(("value", arrays), expected)
+
+
+@kernel_property
+@given(window_stacks(failing=True))
+def test_stacked_analyze_raises_the_first_failing_windows_error(P):
+    first = next(outcome for outcome in _alone(P) if outcome[0] != "value")
+    assert first[0] is PartialPositivityError
+    _assert_same(_outcome(lambda: analyze(P)), first)
 
 
 @st.composite

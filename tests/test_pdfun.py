@@ -167,6 +167,22 @@ def test_gram_missing_value_names_pair():
         gram(phi, [E, (1, 1)])
 
 
+def test_stacked_gram_blocks_are_each_windows_gram():
+    # one row of ids per window: each matrix of the stack is that window's
+    # own, and a missing value names its pair in the first window that has one
+    phi = geometric(CTX2, 0.4, 2)
+    index = phi.table.index
+    windows = [[E, (1,), (1, 2)], [E, (2,), (-1,)], [(1,), (1, 1), (1, 2)]]
+    stack = phi.table.gram_blocks([[index.ids[w] for w in S] for S in windows])
+    assert stack.shape == (3, 3, 3)
+    for S, G in zip(windows, stack):
+        assert np.array_equal(G, gram(phi, S).blocks)
+    far = [[E, (1,), (2,)], [(1,), (1, 1), (2, 2)]]
+    with pytest.raises(MissingValueError) as exc:
+        phi.table.gram_blocks([[index.ids[w] for w in S] for S in far])
+    assert exc.value.args[0] == "gram entry ((1,), (2, 2)) needs a value at (-1, 2, 2), outside the domain"
+
+
 def test_gram_permutation_invariance():
     phi = geometric(CTX2, 0.4, 2)
     S = [E, (1,), (1, 2), (1, 1)]  # pairwise differences stay inside S_2
