@@ -95,8 +95,7 @@ class PartialBlockMatrix:
         object.__setattr__(self, "entries", M)
         object.__setattr__(self, "missing", (int(i), int(j)))
         object.__setattr__(self, "p", p)
-        for window in M if M.ndim == 3 else [M]:
-            _check_hermitian(window)
+        _check_hermitian(M)
 
     def block(self, i: int, j: int) -> np.ndarray:
         k = self.k

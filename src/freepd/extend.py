@@ -153,15 +153,16 @@ def params_from_json(doc: dict) -> tuple[GroupContext, int, int, int, dict[Class
     return ctx, k, from_n, to_n, params
 
 
-def _window(values: WordValues, ids, missing: tuple[int, int]) -> PartialBlockMatrix:
-    """The one window builder: the partial Gram matrix over the words of ``ids`` with (e, s) hidden.
+def _window(values: WordValues, ids) -> PartialBlockMatrix:
+    """The one window builder: the partial Gram matrix over the words of ``ids``, its last two hidden.
 
     ``ids`` lists one window's word ids, or holds one row per window of a
-    stack; ``missing`` gives the positions of e and s, the same in every
-    row.  ``values`` holds some value at s; the hidden pair is never read by
-    :func:`analyze`, :func:`complete` or :func:`extract_gamma`.
+    stack, each ending in e and then s: every window puts its hidden pair
+    last.  ``values`` holds some value at s; the hidden pair is never read
+    by :func:`analyze`, :func:`complete` or :func:`extract_gamma`.
     """
-    return PartialBlockMatrix(values.gram_blocks(ids), missing, values.blocks.shape[1])
+    p = np.shape(ids)[-1]
+    return PartialBlockMatrix(values.gram_blocks(ids), (p - 2, p - 1), values.blocks.shape[1])
 
 
 #: Window entries analysed at once by ``params`` and ``check-ortho``: whole
@@ -205,17 +206,16 @@ def extend_to_ball(
             i = index.ids[cursor.rep]
             values.put(i, hidden)  # a placeholder: the window never reads it
             clique = clique_C(cursor, values.index)
-            P = _window(values, *_in_order(index, clique, cursor.rep))
+            P = _window(values, _pair_last(index, clique, cursor.rep))
             defects = analyze(P, tol)
             try:
                 gamma = _coerce_gamma(oracle(cursor, defects), defects.gamma_shape)
             except ContractionNormError as exc:
                 raise ContractionNormError(f"oracle at class {cursor.rep}: {exc}") from None
-            full = complete(P, gamma, tol)
-            i_e, i_s = P.missing
-            filled = full[i_e * k : (i_e + 1) * k, i_s * k : (i_s + 1) * k]
-            values.put(i, filled)
-            steps.append(ExtensionStep(cursor, tuple(clique), defects.central, gamma, filled))
+            # the completed window is dropped with the step: the trace keeps the
+            # stored block, a view of the output table, and k x k arrays only
+            values.put(i, complete(P, gamma, tol)[-2 * k : -k, -k:])
+            steps.append(ExtensionStep(cursor, tuple(clique), defects.central, gamma, values.blocks[i]))
     ext = PdFunction._of_table(ctx, k, BallDomain(N), values)
     return ext, ExtensionTrace(ctx=ctx, k=k, start_n=n, steps=tuple(steps))
 
@@ -230,10 +230,9 @@ def extract_params(
     replaying :func:`extend_to_ball` with the result reproduces phi
     (exactly on full-rank defects, minimal-norm representative otherwise).
     Every window is fully known, so the windows of one length and one size
-    are extracted as stacks, with (e, s_nu) moved to the last two blocks
-    and the other blocks kept in order: A[E,E] and the parameter stay
-    those of the window alone, bit for bit.  A failure is raised class by
-    class, as the first failing class in order names it.
+    are extracted as stacks, each parameter that of its window alone, bit
+    for bit.  A failure is raised class by class, as the first failing
+    class in order names it.
     """
     N = phi.ball_radius()
     if not 0 <= n <= N:
@@ -251,21 +250,16 @@ def extract_params(
                 for part in _chunks(p, phi.k, len(group)):
                     members = group[part]
                     ids = np.array([_pair_last(index, cliques[c], cursors[c].rep) for c in members])
-                    P = _window(values, ids, (p - 2, p - 1))
+                    P = _window(values, ids)
                     for c, gamma in zip(members, extract_gamma(P, values.blocks[ids[:, -1]], tol)):
                         gammas[c] = gamma
         except ValueError:  # a stack checks stage by stage: name the first failing class
             for cursor, clique in zip(cursors, cliques):
-                P = _window(values, *_in_order(index, clique, cursor.rep))
+                P = _window(values, _pair_last(index, clique, cursor.rep))
                 extract_gamma(P, phi.value(cursor.rep), tol)
             raise
         out.update(zip(cursors, gammas))
     return out
-
-
-def _in_order(index: WordIndex, clique: list[Word], s: Word) -> tuple[list[int], tuple[int, int]]:
-    """The ids of a clique in its order, and the positions of e and s."""
-    return [index.ids[w] for w in clique], (clique.index(E), clique.index(s))
 
 
 def _pair_last(index: WordIndex, clique: list[Word], s: Word) -> list[int]:
@@ -312,7 +306,7 @@ def check_max_orthogonal(phi: PdFunction, n: int, tol: float = RESIDUAL_TOL) -> 
     for part in _chunks(p, phi.k, ts.size):
         t = ts[part]
         sigma = np.nonzero(_common_neighbours(index, t, inner, inner))[1].reshape(t.size, p - 2)
-        P = _window(phi.table, np.column_stack([np.zeros_like(t), sigma, t]), (0, p - 1))
+        P = _window(phi.table, np.column_stack([sigma, np.zeros_like(t), t]))
         gaps = phi.table.blocks[t] - np.array([dd.central for dd in analyze(P, DEFAULT_TOL)])
         # the spectral norm of each gap, as np.linalg.norm(gap, 2) takes it
         violations += np.linalg.svd(gaps, compute_uv=False)[:, 0].tolist()

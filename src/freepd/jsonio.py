@@ -85,13 +85,21 @@ def entries_from_json(doc: dict, key: str, m: int, shape=None, add: bool = False
     return out
 
 
+def _canonical(doc: dict):
+    """A document's canonical text, chunk by chunk: stable key order, newline-terminated."""
+    yield from json.JSONEncoder(indent=1).iterencode(doc)
+    yield "\n"
+
+
 def dumps(doc: dict) -> str:
-    """Canonical serialization: stable key order, compact, newline-terminated."""
-    return json.dumps(doc, indent=1) + "\n"
+    """The canonical serialization, whole."""
+    return "".join(_canonical(doc))
 
 
 def dump_path(path, doc: dict):
-    Path(path).write_text(dumps(doc), encoding="utf-8")
+    """Write the canonical serialization as it is encoded, never holding all of it at once."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(_canonical(doc))
 
 
 def load_path(path) -> dict:

@@ -71,17 +71,21 @@ def as_matrix(A, stacked: bool = False) -> np.ndarray:
     if M.ndim != 2 and not (stacked and M.ndim == 3):
         expected = "a matrix or a stack of matrices" if stacked else "a matrix"
         raise ValueError(f"expected {expected}, got shape {M.shape}")
-    if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
+    if not np.isfinite(M).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return M
 
 
 def _check_hermitian(A: np.ndarray):
-    scale = max(1.0, np.abs(A).max(initial=0.0))
-    if A.shape[0] != A.shape[1] or np.abs(A - A.conj().T).max(initial=0.0) > DATA_RTOL * scale:
-        raise NotHermitianError(
-            f"matrix of shape {A.shape} is not Hermitian within {DATA_RTOL} relative"
-        )
+    """Refuse a matrix, or a stack holding one, not Hermitian within ``DATA_RTOL`` of its own scale."""
+    if A.shape[-2] == A.shape[-1]:
+        scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
+        asymmetry = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+        if np.all(asymmetry <= DATA_RTOL * scale):
+            return
+    raise NotHermitianError(
+        f"matrix of shape {A.shape[-2:]} is not Hermitian within {DATA_RTOL} relative"
+    )
 
 
 def eig_hermitian(A) -> tuple[np.ndarray, np.ndarray]:
@@ -103,8 +107,7 @@ def is_psd(A, tol: Tolerance = DEFAULT_TOL):
     answer per matrix.
     """
     M = as_matrix(A, stacked=True)
-    for window in M if M.ndim == 3 else [M]:
-        _check_hermitian(window)
+    _check_hermitian(M)
     if M.size == 0:
         return np.ones(M.shape[:-2], dtype=bool)[()]
     w = np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from unittest import mock
 
@@ -6,10 +7,15 @@ import pytest
 
 from freepd import jsonio
 from freepd.cayley import clique_C, sigma_set
-from freepd.completion import CompletionError, ContractionNormError, analyze, extract_gamma
+from freepd.completion import (
+    CompletionError,
+    ContractionNormError,
+    PartialBlockMatrix,
+    analyze,
+    extract_gamma,
+)
 from freepd.linalg import Tolerance
 from freepd.extend import (
-    _window,
     check_max_orthogonal,
     extend_to_ball,
     extract_params,
@@ -110,6 +116,29 @@ def test_trace_replay_is_bit_exact():
     out, trace = extend_to_ball(phi, 3, random_gamma_oracle(seed=5))
     replay, _ = extend_to_ball(phi, 3, oracle_from_params(trace.params()))
     assert replay == out  # exact array equality, not approximate
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array whose memory ``a`` views, or ``a`` itself."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_the_trace_holds_blocks_not_windows():
+    # each step keeps k x k arrays and views of the output table only, so a
+    # step's completed Gram window is freed when the step ends
+    for k in (1, 2):
+        phi = random_pd_function(CTX2, k, 2, np.random.default_rng(k))
+        for oracle in (zero_oracle, random_gamma_oracle(seed=k)):
+            out, trace = extend_to_ball(phi, 4, oracle)
+            table = _owner(out.table.blocks)
+            for step in trace.steps:
+                for field in dataclasses.fields(step):
+                    a = getattr(step, field.name)
+                    if isinstance(a, np.ndarray):
+                        owner = _owner(a)
+                        assert owner is table or owner.nbytes <= k * k * a.itemsize, field.name
 
 
 def test_trace_json_roundtrip():
@@ -421,13 +450,17 @@ def test_extract_replay_values_at_radius_4():
 
 
 def _reference_report(phi, n):
-    """check_max_orthogonal class by class: Sigma(e, t), one window and one analyze per class."""
+    """check_max_orthogonal class by class: one analyze per class of its window {e} + Sigma(e, t) + {t}.
+
+    e leads the window, not next to t as in check-ortho's own layout.
+    """
     index = phi.table.index
     worst, worst_class = 0.0, None
     for cursor in index.classes(n + 1):
         t = cursor.rep
         words = [E, *sigma_set(phi.ctx, E, t, index), t]
-        P = _window(phi.table, [index.ids[w] for w in words], (0, len(words) - 1))
+        blocks = phi.table.gram_blocks([index.ids[w] for w in words])
+        P = PartialBlockMatrix(blocks, (0, len(words) - 1), phi.k)
         violation = float(np.linalg.norm(phi.value(t) - analyze(P).central, 2))
         if violation > worst:
             worst, worst_class = violation, cursor
@@ -435,14 +468,17 @@ def _reference_report(phi, n):
 
 
 def _reference_params(phi, n):
-    """extract_params class by class: the clique window and one extract_gamma per class."""
+    """extract_params class by class: one extract_gamma per class of its clique window.
+
+    The window keeps the clique's own order, e and s_nu where they fall, not last.
+    """
     index = phi.table.index
     out = {}
     for length in range(n + 1, phi.ball_radius() + 1):
         for cursor in index.classes(length):
             clique = clique_C(cursor, index)
-            ids = [index.ids[w] for w in clique]
-            P = _window(phi.table, ids, (clique.index(E), clique.index(cursor.rep)))
+            blocks = phi.table.gram_blocks([index.ids[w] for w in clique])
+            P = PartialBlockMatrix(blocks, (clique.index(E), clique.index(cursor.rep)), phi.k)
             out[cursor] = extract_gamma(P, phi.value(cursor.rep))
     return out
 
@@ -456,8 +492,9 @@ def _outcome(compute):
 
 def test_stacked_checks_equal_the_per_class_loops():
     # check-ortho analyses each level in stacks of Sigma-windows and params
-    # each length in stacks of clique windows of one size: both give what the
-    # class-by-class loops give, bit for bit, on a central and a
+    # each length in stacks of clique windows of one size, each window with
+    # its hidden pair last: both give what the class-by-class loops, in the
+    # windows' own orders, give, bit for bit, on a central and a
     # random-oracle extension and on functions that are not positive.  In
     # the damaged one, a stack meets a failure that a class earlier in the
     # order, in another stack, fails differently: the error is that class's

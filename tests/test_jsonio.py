@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -29,6 +30,21 @@ def reserialized(doc: dict, parse_and_dump) -> tuple[str, str]:
     return text, jsonio.dumps(parse_and_dump(json.loads(text)))
 
 
+def random_certificate(ctx, k, rng) -> SosCertificate:
+    """A certificate over S_1 with random factors: a consistent document, not a factorization."""
+    index = ball(ctx, 1)
+    B = rng.normal(size=(2 * k, len(index) * k)) + 1j * rng.normal(size=(2 * k, len(index) * k))
+    return SosCertificate(
+        index=tuple(index),
+        m=ctx.m,
+        c=k,
+        gram=B.conj().T @ B,
+        factors={w: B[:, i * k : (i + 1) * k] for i, w in enumerate(index)},
+        residual=float(rng.uniform()),
+        iterations=int(rng.integers(1, 20_000)),
+    )
+
+
 def replayed_trace(phi, params) -> dict:
     _, trace = extend_to_ball(phi, 3, oracle_from_params(params))
     return trace.to_json_dict()
@@ -46,18 +62,8 @@ def test_every_schema_reserializes_to_the_same_bytes(ctx, k, seed):
     rng = np.random.default_rng(seed)
     phi = random_pd_function(ctx, k, 2, rng)
     _, trace = extend_to_ball(phi, 3, random_gamma_oracle(seed))
-    index = ball(ctx, 1)
-    B = rng.normal(size=(2 * k, len(index) * k)) + 1j * rng.normal(size=(2 * k, len(index) * k))
-    cert = SosCertificate(
-        index=tuple(index),
-        m=ctx.m,
-        c=k,
-        gram=B.conj().T @ B,
-        factors={w: B[:, i * k : (i + 1) * k] for i, w in enumerate(index)},
-        residual=float(rng.uniform()),
-        iterations=int(rng.integers(1, 20_000)),
-    )
-    poly = NcPolynomial(ctx, k, {w: rng.normal(size=(k, k)) + 0j for w in index})
+    cert = random_certificate(ctx, k, rng)
+    poly = NcPolynomial(ctx, k, {w: rng.normal(size=(k, k)) + 0j for w in ball(ctx, 1)})
     cases = [
         (phi.to_json_dict(), lambda d: pdfunction_from_json(d).to_json_dict()),
         (params_to_json(ctx, k, 2, 3, trace.params()), lambda d: params_to_json(*params_from_json(d))),
@@ -70,3 +76,31 @@ def test_every_schema_reserializes_to_the_same_bytes(ctx, k, seed):
     for doc, parse_and_dump in cases:
         first, again = reserialized(doc, parse_and_dump)
         assert again == first, doc["schema"]
+
+
+def test_dump_path_streams_the_bytes_of_dumps(tmp_path):
+    # dump_path writes what dumps returns, byte for byte, but as the encoder
+    # yields it: its peak allocation does not grow with the file, where
+    # building the text whole held every chunk and the joined string at once
+    # (about 8 times the file)
+    ctx, rng = GroupContext(2), np.random.default_rng(3)
+    phi = random_pd_function(ctx, 1, 2, rng)
+    ext, trace = extend_to_ball(phi, 5, random_gamma_oracle(3))
+    docs = [
+        ext.to_json_dict(),
+        trace.to_json_dict(),
+        params_to_json(ctx, 1, 2, 5, trace.params()),
+        certificate_to_json(random_certificate(ctx, 2, rng)),
+    ]
+    for doc in docs:
+        path = tmp_path / f"{doc['schema']}.json"
+        tracemalloc.start()
+        try:
+            jsonio.dump_path(path, doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = path.read_bytes()
+        assert written == jsonio.dumps(doc).encode("utf-8"), doc["schema"]
+        if doc["schema"] == "trace.v1":
+            assert peak < len(written) / 2, (peak, len(written))

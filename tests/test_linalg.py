@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freepd.completion import PartialBlockMatrix
 from freepd.linalg import (
     DEFAULT_TOL,
     NotHermitianError,
@@ -45,6 +46,18 @@ def test_eig_contract():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_a_stack_with_one_non_hermitian_window_is_refused():
+    # each window of a stack is held to its own scale: an asymmetry of 1e-9
+    # would pass within the scale of the 1e4-sized window beside it
+    stack = np.stack([1e4 * random_hermitian(4), random_hermitian(4), random_hermitian(4)])
+    assert is_psd(stack).shape == (3,)
+    PartialBlockMatrix(stack, (0, 1), 2)
+    stack[1, 0, 1] += 1e-9
+    for refuse in (is_psd, lambda A: PartialBlockMatrix(A, (0, 1), 2)):
+        with pytest.raises(NotHermitianError, match=r"matrix of shape \(4, 4\) is not Hermitian"):
+            refuse(stack)
 
 
 def test_rejects_non_finite():
