@@ -120,7 +120,7 @@ def cmd_extend(args) -> int:
     if args.seed is not None and not args.random_oracle:
         raise CliInputError("--seed needs --random-oracle")
     phi = _load_pdfun(args.input)
-    if args.params:
+    if args.params is not None:
         ctx, k, from_n, _, params = params_from_json(jsonio.load_path(args.params))
         if ctx != phi.ctx or k != phi.k:
             raise CliInputError("parameter file context does not match the input function")
@@ -136,7 +136,7 @@ def cmd_extend(args) -> int:
     except KeyError as exc:
         raise CliInputError(f"parameter file does not cover the extension: {exc}") from exc
     jsonio.dump_path(args.output, ext.to_json_dict())
-    if args.trace:
+    if args.trace is not None:
         jsonio.dump_path(args.trace, trace.to_json_dict())
     return 0
 

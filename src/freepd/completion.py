@@ -27,12 +27,16 @@ S_x = A[x,x] - R_x* R_x.  The cut is the rounding level of the window,
 not a user tolerance: a coarser cut projects away directions that a
 nearly singular window still resolves.  It makes three LAPACK calls per
 window: that ``eigh``, one ``eigvalsh`` over both bordered
-partial-positivity tests stacked, the window's one positivity test, and
-one ``eigh`` over both Schur complements stacked, whose eigenpairs above
-the ``RANK_EPS`` cut are the defect factors.  On windows of size 1-10
-the cost is numpy's per-call overhead, not the factorizations, so a stack
-of windows of one shape makes the same calls once for the whole stack
-(the ``eigvalsh`` once per dropped count).
+partial-positivity tests stacked, and one ``eigh`` over both Schur
+complements stacked, whose eigenpairs above the ``RANK_EPS`` cut are the
+defect factors.  :func:`extract_gamma` tests a filled entry F with one
+more ``eigvalsh``, of the 2k x 2k Schur block [[S_k, F - central],
+[., S_l]]: given partial positivity it is PSD exactly when the completed
+window is, and it is tested at the bordered test's floor.  Two ``pinv``
+calls then recover gamma.  On windows of size 1-10 the cost is numpy's
+per-call overhead, not the factorizations, so a stack of windows of one
+shape makes the same calls once for the whole stack (the bordered
+``eigvalsh`` once per dropped count, the ``pinv`` calls once per window).
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .linalg import (
     _gram_factors,
     _renormalized,
     as_matrix,
-    is_psd,
     pinv,
 )
 
@@ -113,17 +116,22 @@ class PartialBlockMatrix:
 
 @dataclass(frozen=True)
 class DefectData:
-    """Completion geometry of a partial matrix: central value and defect factors.
+    """Completion geometry of a partial matrix: central value, Schur complements, defect factors.
 
-    ``defect_k`` (d_k x k) and ``defect_l`` (d_l x k) factor the Schur
-    complements of the two missing-pair columns against the rest; the
+    ``schur`` (2 x k x k) holds the Schur complements S_k, S_l of the two
+    missing-pair columns against the rest, as :func:`analyze` tested them;
+    ``defect_k`` (d_k x k) and ``defect_l`` (d_l x k) factor them, and the
     completion parameter gamma lives between the truncated defect spaces,
-    as a d_k x d_l matrix.
+    as a d_k x d_l matrix.  ``scale`` is the window's floor scale
+    max(1, max |w(A[E,E])|), with which :func:`extract_gamma` tests a
+    completion as :func:`analyze` tested partial positivity.
     """
 
     central: np.ndarray
     defect_k: np.ndarray
     defect_l: np.ndarray
+    schur: np.ndarray
+    scale: float
 
     @property
     def gamma_shape(self) -> tuple[int, int]:
@@ -140,10 +148,11 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL):
     catch a column x with a component in the null space of A[E,E].
     Both bordered matrices have the shape |drop| + k, so one stacked
     ``eigvalsh`` tests them (a failure on the k side is reported first).
-    That is the window's one positivity test: S_x is a principal submatrix
-    of its bordered matrix, so by interlacing the test bounds lambda_min(S_x)
-    at the window's scale, and one stacked ``eigh`` factors both Schur
-    complements with the rank cut ``RANK_EPS`` alone.
+    That is the window's one partial-positivity test: S_x is a principal
+    submatrix of its bordered matrix, so by interlacing the test bounds
+    lambda_min(S_x) at the window's scale, and one stacked ``eigh`` factors
+    both Schur complements with the rank cut ``RANK_EPS`` alone.  Its floor,
+    :func:`_window_floor`, also decides :func:`extract_gamma`'s completion test.
 
     A stack of windows gets one list of :class:`DefectData`, each what the
     window alone gives, bit for bit: every LAPACK call and product runs on
@@ -189,10 +198,7 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL):
         bordered[:, :, :d, d:] = B_g[:, :, :d]
         bordered[:, :, d:, :d] = B_g[:, :, :d].conj().swapaxes(2, 3)
         mu = np.linalg.eigvalsh(bordered)
-        # not Tolerance.psd_floor: the scale also takes in A_EE's spectrum, which
-        # the bordered matrices do not contain
-        floor = -tol.psd_eps * np.maximum(scale[g, None], np.abs(mu).max(axis=2))
-        bad[g] = mu.min(axis=2) < floor
+        bad[g] = mu.min(axis=2) < _window_floor(tol, scale[g, None], mu)
         S[g] = bordered[:, :, d:, d:]
         V_keep = np.ascontiguousarray(V[g].swapaxes(1, 2)[:, d:]).swapaxes(1, 2)
         central[g] = A_kE[g] @ (V_keep @ (B_g[:, 1, d:] / w[g, d:, None]))
@@ -205,8 +211,23 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL):
                 )
         raise ValueError("matrix contains NaN or Inf entries")
     factors = _gram_factors(*np.linalg.eigh(S.reshape(-1, k, k)))
-    out = [DefectData(central[c], *factors[2 * c : 2 * c + 2]) for c in range(len(central))]
+    out = [
+        DefectData(central[c], *factors[2 * c : 2 * c + 2], S[c], scale[c])
+        for c in range(len(central))
+    ]
     return out if P.entries.ndim == 3 else out[0]
+
+
+def _window_floor(tol: Tolerance, scale, mu: np.ndarray):
+    """The least eigenvalue a window's test may show: -psd_eps * max(scale, max |mu|).
+
+    The one floor of :func:`analyze`'s bordered test and of
+    :func:`extract_gamma`'s Schur-block test, one per row of a stack of
+    spectra mu.  Not ``Tolerance.psd_floor``: ``scale`` = max(1, max
+    |w(A[E,E])|) takes in the spectrum of A[E,E], which the tested
+    matrices do not contain.
+    """
+    return -tol.psd_eps * np.maximum(scale, np.abs(mu).max(axis=-1))
 
 
 def _coerce_gamma(gamma, shape: tuple[int, int]) -> np.ndarray:
@@ -246,27 +267,33 @@ def extract_gamma(
 
     Inverse of :func:`complete` wherever both defects have full rank; on
     rank-deficient defects the minimal-norm representative is returned
-    (components annihilated by zero defects are unrecoverable).  A stack
-    of windows takes a (C, k, k) stack of entries and gives a list of
-    parameters, from one :func:`analyze` and one completion test of the
-    stack, with the pseudo-inverses taken window by window.  Each check
-    runs over the whole stack before the next and names its first
-    failing window.
+    (components annihilated by zero defects are unrecoverable).  Given
+    partial positivity, F completes P to a PSD matrix exactly when the
+    Schur block [[S_k, F - central], [., S_l]] is PSD, and that block is
+    tested at :func:`analyze`'s floor, with no eigenvalue of the whole
+    window.  A stack of windows takes a (C, k, k) stack of entries and
+    gives a list of parameters, from one :func:`analyze` and one
+    ``eigvalsh`` of the stacked Schur blocks, with the pseudo-inverses
+    taken window by window.  Each check runs over the whole stack before
+    the next and names its first failing window.
     """
     dd = analyze(P, tol)
     F = as_matrix(filled, stacked=True)
     shape = (*P.entries.shape[:-2], P.k, P.k)
     if F.shape != shape:
         raise ValueError(f"filled entry has shape {F.shape}, expected {shape}")
-    if not np.all(is_psd(P.completed_with(F), tol)):
+    dds, Fs = (dd, F) if F.ndim == 3 else ([dd], F[None])
+    S = np.array([d.schur for d in dds])
+    X = Fs - np.array([d.central for d in dds])
+    mu = np.linalg.eigvalsh(np.block([[S[:, 0], X], [X.conj().swapaxes(1, 2), S[:, 1]]]))
+    if (mu.min(axis=1) < _window_floor(tol, np.array([d.scale for d in dds]), mu)).any():
         raise CompletionError("the proposed entry does not give a PSD completion")
     message = (
         "extracted parameter has operator norm {:.6g}; "
         "the completion is inconsistent with the defect geometry"
     )
-    stacked = F.ndim == 3
     out = []
-    for d, F_c in zip(dd if stacked else [dd], F if stacked else [F]):
-        g = pinv(d.defect_k.conj().T) @ (F_c - d.central) @ pinv(d.defect_l)
+    for d, X_c in zip(dds, X):
+        g = pinv(d.defect_k.conj().T) @ X_c @ pinv(d.defect_l)
         out.append(_renormalized(g, EXTRACT_NORM_SLACK, CompletionError, message))
-    return out if stacked else out[0]
+    return out if F.ndim == 3 else out[0]

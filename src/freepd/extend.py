@@ -310,10 +310,7 @@ def check_max_orthogonal(phi: PdFunction, n: int, tol: float = RESIDUAL_TOL) -> 
         gaps = phi.table.blocks[t] - np.array([dd.central for dd in analyze(P, DEFAULT_TOL)])
         # the spectral norm of each gap, as np.linalg.norm(gap, 2) takes it
         violations += np.linalg.svd(gaps, compute_uv=False)[:, 0].tolist()
-    worst = 0.0
-    worst_class: ClassCursor | None = None
-    for cursor, violation in zip(cursors, violations):
-        if violation > worst:
-            worst = violation
-            worst_class = cursor
+    c = int(np.argmax(violations))  # the first class of the largest violation
+    worst = violations[c]
+    worst_class = cursors[c] if worst > 0.0 else None
     return OrthogonalityReport(ok=worst <= tol, worst_violation=worst, worst_class=worst_class)

@@ -12,8 +12,9 @@ rank cut treats eigenvalues or singular values at most that fraction of
 the largest as zero.  A norm slack is how far past 1 a contraction's
 norm may round: up to it the contraction is scaled back to norm 1.
 Bounds derived from eps and a size stay where they are computed:
-``completion.analyze``'s rank cut |E| * eps * max(w) and stacked PSD
-floor, and the two margins of ``ncpoly._GramProblem.separating_witness``.
+``completion.analyze``'s rank cut |E| * eps * max(w) and window floor
+(``completion._window_floor``, which also decides ``extract_gamma``), and
+the two margins of ``ncpoly._GramProblem.separating_witness``.
 """
 
 from __future__ import annotations

@@ -580,6 +580,15 @@ def test_extend_flag_conflict(tmp_path, capfd):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--params", "--trace"])
+def test_extend_refuses_an_empty_path(tmp_path, capfd, flag):
+    # an empty path names no file, as in -o "": it is bad input, not an absent option
+    h = tmp_path / "h.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
+    code, _, err = run(capfd, "extend", str(h), "--to", "2", flag, "", "-o", str(tmp_path / "x.json"))
+    assert_bad_input(code, err)
+
+
 def test_custom_letter_order(tmp_path, capfd):
     h = tmp_path / "h.json"
     code, _, _ = run(

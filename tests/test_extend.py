@@ -490,6 +490,34 @@ def _outcome(compute):
         return type(exc), str(exc)
 
 
+def _damaged_f3() -> PdFunction:
+    """The central extension of a random F_3 function to S_3, the class of (1, -2) scaled by 3."""
+    ctx3 = GroupContext(3)
+    values = extend_to_ball(random_pd_function(ctx3, 1, 1, np.random.default_rng(7)), 3)[0].table.by_class()
+    values[(1, -2)] = 3.0 * values[(1, -2)]
+    return PdFunction(ctx3, 1, BallDomain(3), values)
+
+
+def test_params_decides_each_completion_without_completing_its_window(monkeypatch):
+    # extract_gamma tests a filled entry on the 2k x 2k Schur block analyze
+    # already holds, so params never builds a completed (p k)^2 window
+    phi = random_pd_function(CTX2, 2, 2, np.random.default_rng(7))
+    central, _ = extend_to_ball(phi, 4)
+    oracle, trace = extend_to_ball(phi, 4, random_gamma_oracle(7))
+    damaged = _damaged_f3()
+
+    def no_window(self, filled):
+        raise AssertionError("a completed window was built")
+
+    monkeypatch.setattr(PartialBlockMatrix, "completed_with", no_window)
+    assert all(not g.any() for g in extract_params(central, 2).values())
+    recovered = extract_params(oracle, 2)
+    for cursor, gamma in trace.params().items():
+        assert np.abs(recovered[cursor] - gamma).max() <= 1e-8
+    with pytest.raises(CompletionError, match="does not give a PSD completion"):
+        extract_params(damaged, 0)
+
+
 def test_stacked_checks_equal_the_per_class_loops():
     # check-ortho analyses each level in stacks of Sigma-windows and params
     # each length in stacks of clique windows of one size, each window with
@@ -503,10 +531,7 @@ def test_stacked_checks_equal_the_per_class_loops():
     oracle, _ = extend_to_ball(phi, 4, random_gamma_oracle(7))
     values = {E: np.eye(1), (1,): np.array([[1.5]]), (2,): np.zeros((1, 1))}
     bad = PdFunction(CTX2, 1, BallDomain(1), values)
-    ctx3 = GroupContext(3)
-    values = extend_to_ball(random_pd_function(ctx3, 1, 1, np.random.default_rng(7)), 3)[0].table.by_class()
-    values[(1, -2)] = 3.0 * values[(1, -2)]
-    damaged = PdFunction(ctx3, 1, BallDomain(3), values)
+    damaged = _damaged_f3()
     with pytest.raises(CompletionError, match="does not give a PSD completion"):
         extract_params(damaged, 0)
     for f in (central, oracle, bad, damaged):
