@@ -11,15 +11,16 @@ import numpy as np
 
 from freepd import PartialBlockMatrix, analyze, complete, extract_gamma
 
+# the hidden pair is the last two blocks: entries (1, 2) and (2, 1) are unknown
 A = np.array(
     [
-        [1.0, 0.5, 0.0],
-        [0.5, 1.0, 0.5],
-        [0.0, 0.5, 1.0],
+        [1.0, 0.5, 0.5],
+        [0.5, 1.0, 0.0],
+        [0.5, 0.0, 1.0],
     ],
     dtype=complex,
 )
-P = PartialBlockMatrix(A, missing=(0, 2), k=1)
+P = PartialBlockMatrix(A, k=1)
 
 dd = analyze(P)
 print("central entry      :", dd.central[0, 0].real)
@@ -27,18 +28,17 @@ print("defect factors     :", abs(dd.defect_k[0, 0]), abs(dd.defect_l[0, 0]))
 
 print("\nsweep of the completion parameter gamma:")
 for g in (-1.0, -0.5, 0.0, 0.5, 1.0):
-    full = complete(P, np.array([[g]]))
-    eigs = np.linalg.eigvalsh(full)
+    filled = complete(P, np.array([[g]]))
+    eigs = np.linalg.eigvalsh(P.completed_with(filled))
     print(
-        f"  gamma = {g:+.1f} -> entry {full[0, 2].real:+.3f}, "
+        f"  gamma = {g:+.1f} -> entry {filled[0, 0].real:+.3f}, "
         f"eigenvalues {np.round(eigs, 3)}"
     )
 
 print("\nthe correspondence inverts: completions map back to their gamma")
 g0 = np.array([[0.37 + 0.21j]])
-filled = complete(P, g0)[0:1, 2:3]
 print("  planted gamma    :", g0[0, 0])
-print("  extracted gamma  :", extract_gamma(P, filled)[0, 0])
+print("  extracted gamma  :", extract_gamma(P, complete(P, g0))[0, 0])
 
 print("\na contraction of norm > 1 leaves the PSD cone:")
 bad = dd.central + dd.defect_k.conj().T @ np.array([[1.3]]) @ dd.defect_l

@@ -119,6 +119,8 @@ def cmd_verify(args) -> int:
 def cmd_extend(args) -> int:
     if args.seed is not None and not args.random_oracle:
         raise CliInputError("--seed needs --random-oracle")
+    if args.trace is not None and jsonio.same_file(args.trace, args.output):
+        raise CliInputError("--trace and -o name the same file")
     phi = _load_pdfun(args.input)
     if args.params is not None:
         ctx, k, from_n, _, params = params_from_json(jsonio.load_path(args.params))
@@ -137,7 +139,11 @@ def cmd_extend(args) -> int:
         raise CliInputError(f"parameter file does not cover the extension: {exc}") from exc
     jsonio.dump_path(args.output, ext.to_json_dict())
     if args.trace is not None:
-        jsonio.dump_path(args.trace, trace.to_json_dict())
+        try:
+            jsonio.dump_path(args.trace, trace.to_json_dict())
+        except BaseException:  # leave neither file
+            jsonio.remove_file(args.output)
+            raise
     return 0
 
 

@@ -3,8 +3,8 @@
 A Hermitian block matrix with a single unknown off-diagonal pair has a
 positive semidefinite completion exactly when both fully specified
 maximal principal submatrices are PSD, and the set of all PSD completions
-is parametrized by contractions between two defect spaces.  Writing E for
-the indices other than the missing pair (k, l):
+is parametrized by contractions between two defect spaces.  A window hides
+its last two blocks, (k, l) = (p - 2, p - 1), and E is the other p - 2:
 
     central   = A[k,E] A[E,E]^+ A[E,l]            (the gamma = 0 value)
     S_k       = A[k,k] - A[k,E] A[E,E]^+ A[E,k]   (Schur complement)
@@ -15,7 +15,8 @@ of the (k, l) entry has the form
 
     central + F_k* gamma F_l,   ||gamma|| <= 1,
 
-a Szego-parameter-like correspondence that :func:`extract_gamma` inverts.
+the entry :func:`complete` returns, a Szego-parameter-like correspondence
+that :func:`extract_gamma` inverts.
 The empty-E convention (pseudo-inverse over no indices is the zero map)
 gives central completion 0 for a 2x2 with unknown off-diagonal entry.
 
@@ -72,45 +73,33 @@ class CompletionError(ValueError):
 
 @dataclass(frozen=True)
 class PartialBlockMatrix:
-    """A p x p Hermitian block matrix with one unknown off-diagonal pair, or a stack of them.
+    """A p x p Hermitian block matrix whose last block pair is unknown, or a stack of them.
 
-    ``entries`` holds the known blocks in a dense (p*k) x (p*k) array with
-    the missing pair zero-filled, or a (C, p*k, p*k) stack of C such
-    windows; ``missing`` names the unknown block pair (i, j), i != j, the
-    same for every window of a stack.  All diagonal blocks must be present
-    and the known part must be Hermitian.
+    ``entries`` holds the blocks in a dense (p*k) x (p*k) array, or a
+    (C, p*k, p*k) stack of C such windows.  The unknown pair is always
+    blocks (p - 2, p - 1): their values in ``entries`` are never read.
+    The known part must be Hermitian, and a window holds at least two blocks.
     """
 
     entries: np.ndarray
-    missing: tuple[int, int]
     k: int
     p: int = field(init=False)
 
     def __post_init__(self):
         M = as_matrix(self.entries, stacked=True)
         n = M.shape[-1]
-        if M.shape[-2] != n or n % self.k != 0:
-            raise ValueError(f"entries of shape {M.shape} not square in {self.k}-blocks")
-        p = n // self.k
-        i, j = self.missing
-        if not (0 <= i < p and 0 <= j < p and i != j):
-            raise ValueError(f"missing pair {self.missing} invalid for p = {p}")
+        if M.shape[-2] != n or n % self.k != 0 or n < 2 * self.k:
+            raise ValueError(f"entries of shape {M.shape} are not square in two or more {self.k}-blocks")
         object.__setattr__(self, "entries", M)
-        object.__setattr__(self, "missing", (int(i), int(j)))
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", n // self.k)
         _check_hermitian(M)
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        k = self.k
-        return self.entries[..., i * k : (i + 1) * k, j * k : (j + 1) * k]
-
     def completed_with(self, filled: np.ndarray) -> np.ndarray:
-        """Dense matrix with the missing pair set to ``filled`` and its adjoint, per window of a stack."""
-        i, j = self.missing
+        """Dense matrix with block (p - 2, p - 1) set to ``filled`` and its adjoint, per window of a stack."""
         k = self.k
         M = self.entries.copy()
-        M[..., i * k : (i + 1) * k, j * k : (j + 1) * k] = filled
-        M[..., j * k : (j + 1) * k, i * k : (i + 1) * k] = filled.conj().swapaxes(-1, -2)
+        M[..., -2 * k : -k, -k:] = filled
+        M[..., -k:, -2 * k : -k] = filled.conj().swapaxes(-1, -2)
         return M
 
 
@@ -119,7 +108,7 @@ class DefectData:
     """Completion geometry of a partial matrix: central value, Schur complements, defect factors.
 
     ``schur`` (2 x k x k) holds the Schur complements S_k, S_l of the two
-    missing-pair columns against the rest, as :func:`analyze` tested them;
+    hidden block columns against the rest, as :func:`analyze` tested them;
     ``defect_k`` (d_k x k) and ``defect_l`` (d_l x k) factor them, and the
     completion parameter gamma lives between the truncated defect spaces,
     as a d_k x d_l matrix.  ``scale`` is the window's floor scale
@@ -159,27 +148,23 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL):
     the stack, and the bordered test on the windows of each dropped count
     at once.  A failure raises the error of the first failing window.
     """
-    i, j = P.missing
     k = P.k
     A = P.entries if P.entries.ndim == 3 else P.entries[None]
-    others = np.ones(P.p * k, dtype=bool)
-    others[i * k : (i + 1) * k] = others[j * k : (j + 1) * k] = False
+    e = (P.p - 2) * k  # E is the leading e rows and columns, the hidden pair the last 2k
     # each product below takes its operands in the memory layout of the
     # single-window code it replaced (the BLAS path, and so the rounding,
     # follows the layout): rows and Schur terms C-ordered, V_keep and A_kE
-    # F-ordered, as boolean gathers of columns leave them
-    rows = A.compress(others, axis=1)
-    A_EE = rows.compress(others, axis=2)
-    A_kE = A[:, i * k : (i + 1) * k].swapaxes(1, 2).compress(others, axis=1).swapaxes(1, 2)
+    # F-ordered, as explicit copies make them
+    rows = np.ascontiguousarray(A[:, :e])
+    A_EE = np.ascontiguousarray(rows[:, :, :e])
+    A_kE = np.ascontiguousarray(A[:, e : e + k, :e].swapaxes(1, 2)).swapaxes(1, 2)
     w, V = np.linalg.eigh(A_EE)
-    keep = w > A_EE.shape[1] * np.finfo(float).eps * w.max(axis=1, initial=0.0)[:, None]
+    keep = w > e * np.finfo(float).eps * w.max(axis=1, initial=0.0)[:, None]
     scale = np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
     # V* A[E,k] and V* A[E,l] stay two products: one fused product rounds differently
     Vh = V.conj().swapaxes(1, 2)
-    B = np.empty((A.shape[0], 2, A_EE.shape[1], k), dtype=complex)
-    for n, x in enumerate((i, j)):
-        np.matmul(Vh, rows[:, :, x * k : (x + 1) * k], out=B[:, n])
-    A_xx = A.reshape(-1, P.p, k, P.p, k)[:, [i, j], :, [i, j]].swapaxes(0, 1)
+    B = np.stack([Vh @ rows[:, :, e : e + k], Vh @ rows[:, :, e + k :]], axis=1)
+    A_xx = np.stack([A[:, e : e + k, e : e + k], A[:, e + k :, e + k :]], axis=1)
     # w ascends, so each window drops its d smallest eigenvalues
     drops = (~keep).sum(axis=1)
     counts = sorted(set(drops.tolist()))
@@ -204,7 +189,7 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL):
         central[g] = A_kE[g] @ (V_keep @ (B_g[:, 1, d:] / w[g, d:, None]))
     if bad.any() or not np.isfinite(S).all():
         fails = bad.any(axis=1) | ~np.isfinite(S).all(axis=(1, 2, 3))
-        for y, side in zip((j, i), bad[fails.argmax()]):
+        for y, side in zip((P.p - 1, P.p - 2), bad[fails.argmax()]):
             if side:
                 raise PartialPositivityError(
                     f"partial positivity violated: submatrix without block {y} is not PSD"
@@ -247,27 +232,27 @@ def _coerce_gamma(gamma, shape: tuple[int, int]) -> np.ndarray:
 def complete(
     P: PartialBlockMatrix, gamma, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
-    """PSD completion of P determined by the contraction ``gamma``.
+    """The k x k entry that fills block (p - 2, p - 1) of P for the contraction ``gamma``.
 
-    The missing entry is filled with central + F_k* gamma F_l; gamma = 0
-    gives the central (maximum-entropy-like) completion.  Overshoots of
-    the unit norm up to ``GAMMA_NORM_SLACK`` are renormalized silently,
-    anything larger is an error.
+    The entry is central + F_k* gamma F_l, and :func:`extract_gamma` inverts
+    it; gamma = 0 gives the central (maximum-entropy-like) completion, and
+    ``P.completed_with`` forms the completed matrix.  Overshoots of the unit
+    norm up to ``GAMMA_NORM_SLACK`` are renormalized silently, anything
+    larger is an error.
     """
     dd = analyze(P, tol)
     g = _coerce_gamma(gamma, dd.gamma_shape)
-    filled = dd.central + dd.defect_k.conj().T @ g @ dd.defect_l
-    return P.completed_with(filled)
+    return dd.central + dd.defect_k.conj().T @ g @ dd.defect_l
 
 
 def extract_gamma(
     P: PartialBlockMatrix, filled: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ):
-    """The contraction parameter of a given PSD completion.
+    """The contraction parameter of the k x k entry ``filled`` at block (p - 2, p - 1).
 
-    Inverse of :func:`complete` wherever both defects have full rank; on
-    rank-deficient defects the minimal-norm representative is returned
-    (components annihilated by zero defects are unrecoverable).  Given
+    The exact inverse of :func:`complete` wherever both defects have full
+    rank; on rank-deficient defects the minimal-norm representative is
+    returned (components annihilated by zero defects are unrecoverable).  Given
     partial positivity, F completes P to a PSD matrix exactly when the
     Schur block [[S_k, F - central], [., S_l]] is PSD, and that block is
     tested at :func:`analyze`'s floor, with no eigenvalue of the whole

@@ -2,13 +2,13 @@
 
 Each class nu contributes one new value Phi(s_nu).  The completion window
 is the clique containing {e, s_nu} whose other members are already known;
-hiding the (e, s_nu) entry of its Gram matrix leaves a partially positive
-matrix with a single missing pair, and every positive extension of the
-function corresponds to a contraction parameter of that completion.  The
-zero parameter at every step yields the central extension, which does not
-depend on the letter ordering and is characterized by a residual
-orthogonality across each one-step distance gap (checked by
-:func:`check_max_orthogonal`).
+ordering its words with e and s_nu last and hiding their entry leaves a
+partially positive matrix whose last block pair is missing, and every
+positive extension of the function corresponds to a contraction parameter
+of that completion.  The zero parameter at every step yields the central
+extension, which does not depend on the letter ordering and is
+characterized by a residual orthogonality across each one-step distance
+gap (checked by :func:`check_max_orthogonal`).
 """
 
 from __future__ import annotations
@@ -161,8 +161,7 @@ def _window(values: WordValues, ids) -> PartialBlockMatrix:
     last.  ``values`` holds some value at s; the hidden pair is never read
     by :func:`analyze`, :func:`complete` or :func:`extract_gamma`.
     """
-    p = np.shape(ids)[-1]
-    return PartialBlockMatrix(values.gram_blocks(ids), (p - 2, p - 1), values.blocks.shape[1])
+    return PartialBlockMatrix(values.gram_blocks(ids), values.blocks.shape[1])
 
 
 #: Window entries analysed at once by ``params`` and ``check-ortho``: whole
@@ -212,9 +211,7 @@ def extend_to_ball(
                 gamma = _coerce_gamma(oracle(cursor, defects), defects.gamma_shape)
             except ContractionNormError as exc:
                 raise ContractionNormError(f"oracle at class {cursor.rep}: {exc}") from None
-            # the completed window is dropped with the step: the trace keeps the
-            # stored block, a view of the output table, and k x k arrays only
-            values.put(i, complete(P, gamma, tol)[-2 * k : -k, -k:])
+            values.put(i, complete(P, gamma, tol))
             steps.append(ExtensionStep(cursor, tuple(clique), defects.central, gamma, values.blocks[i]))
     ext = PdFunction._of_table(ctx, k, BallDomain(N), values)
     return ext, ExtensionTrace(ctx=ctx, k=k, start_n=n, steps=tuple(steps))

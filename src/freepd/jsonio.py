@@ -97,9 +97,31 @@ def dumps(doc: dict) -> str:
 
 
 def dump_path(path, doc: dict):
-    """Write the canonical serialization as it is encoded, never holding all of it at once."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(_canonical(doc))
+    """Write the canonical serialization as it is encoded, never holding all of it at once.
+
+    A write that fails once the file is open removes the file: no truncated document is left.
+    """
+    f = open(path, "w", encoding="utf-8")
+    try:
+        with f:  # inside the try: a close that cannot flush is a failed write too
+            f.writelines(_canonical(doc))
+    except BaseException:
+        remove_file(path)
+        raise
+
+
+def remove_file(path):
+    """Remove ``path`` if it names a regular file; a device, say, is left alone."""
+    if Path(path).is_file():
+        Path(path).unlink()
+
+
+def same_file(a, b) -> bool:
+    """Whether two paths name one file once resolved (links followed, ``..`` folded)."""
+    try:
+        return Path(a).resolve() == Path(b).resolve()
+    except RuntimeError:  # a symbolic link loop, which names no file that can be written
+        return False
 
 
 def load_path(path) -> dict:

@@ -93,13 +93,15 @@ def test_acceptance_03_completion_correctness():
         W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         A = W.conj().T @ W / n + 0.05 * np.eye(n)
         i, j = sorted(int(x) for x in rng.choice(p, size=2, replace=False))
-        M = A.copy()
-        M[i * k : (i + 1) * k, j * k : (j + 1) * k] = 0.0
-        M[j * k : (j + 1) * k, i * k : (i + 1) * k] = 0.0
-        P = PartialBlockMatrix(M, (i, j), k)
+        # the window puts blocks i and j last, and hides that pair
+        order = [a for a in range(p) if a not in (i, j)] + [i, j]
+        idx = (np.array(order)[:, None] * k + np.arange(k)).ravel()
+        M = A[np.ix_(idx, idx)]
+        M[-2 * k : -k, -k:] = 0.0
+        M[-k:, -2 * k : -k] = 0.0
+        P = PartialBlockMatrix(M, k)
         gamma = random_contraction(analyze(P).gamma_shape, rng)
-        full = complete(P, gamma)
-        w = np.linalg.eigvalsh(full)
+        w = np.linalg.eigvalsh(P.completed_with(complete(P, gamma)))
         assert w.min() >= -1e-9 * max(1.0, np.abs(w).max())
         # independent Schur-formula oracle for the central entry
         others = [a for a in range(p) if a not in (i, j)]
@@ -111,9 +113,7 @@ def test_acceptance_03_completion_correctness():
             A_kE = A[i * k : (i + 1) * k][:, idx]
             A_El = A[np.ix_(idx, np.arange(j * k, (j + 1) * k))]
             oracle = A_kE @ np.linalg.pinv(A_EE) @ A_El
-        central = complete(P, np.zeros(analyze(P).gamma_shape))[
-            i * k : (i + 1) * k, j * k : (j + 1) * k
-        ]
+        central = complete(P, np.zeros(analyze(P).gamma_shape))
         assert np.abs(central - oracle).max() <= 1e-10
     _report(3, "500 one-entry completions PSD, central entry matches Schur oracle", t0)
 

@@ -589,6 +589,37 @@ def test_extend_refuses_an_empty_path(tmp_path, capfd, flag):
     assert_bad_input(code, err)
 
 
+@pytest.mark.parametrize(
+    "trace",
+    [
+        "missing/t.json",
+        "loop/t.json",
+        pytest.param(
+            "/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+        ),
+    ],
+)
+def test_extend_leaves_no_output_when_the_trace_fails(tmp_path, capfd, trace):
+    # -o is written first; a trace that cannot be opened, or fails part way, removes it again
+    h, out = tmp_path / "h.json", tmp_path / "x.json"
+    (tmp_path / "loop").symlink_to("loop")
+    run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
+    code, _, err = run(capfd, "extend", str(h), "--to", "2", "--trace", str(tmp_path / trace), "-o", str(out))
+    assert_bad_input(code, err)
+    assert not out.exists()
+
+
+def test_extend_refuses_a_trace_at_the_output_path(tmp_path, capfd):
+    # the trace would overwrite the extension: refused before any work, so no file is written
+    h, out = tmp_path / "h.json", tmp_path / "same.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
+    for trace in (out, f"{tmp_path}/missing/../same.json"):
+        code, _, err = run(capfd, "extend", str(h), "--to", "2", "--trace", str(trace), "-o", str(out))
+        assert_bad_input(code, err)
+        assert json.loads(err)["detail"] == "--trace and -o name the same file"
+        assert not out.exists()
+
+
 def test_custom_letter_order(tmp_path, capfd):
     h = tmp_path / "h.json"
     code, _, _ = run(

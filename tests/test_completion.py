@@ -19,11 +19,14 @@ RNG = np.random.default_rng(2024)
 
 
 def hide_pair(full: np.ndarray, missing, k: int) -> PartialBlockMatrix:
+    """The window of ``full`` with its blocks ``missing`` = (i, j) moved, in that order, last and hidden."""
     i, j = missing
-    M = np.array(full, dtype=complex)
-    M[i * k : (i + 1) * k, j * k : (j + 1) * k] = 0.0
-    M[j * k : (j + 1) * k, i * k : (i + 1) * k] = 0.0
-    return PartialBlockMatrix(M, missing, k)
+    order = [a for a in range(len(full) // k) if a not in (i, j)] + [i, j]
+    idx = (np.array(order)[:, None] * k + np.arange(k)).ravel()
+    M = np.array(full, dtype=complex)[np.ix_(idx, idx)]
+    M[-2 * k : -k, -k:] = 0.0
+    M[-k:, -2 * k : -k] = 0.0
+    return PartialBlockMatrix(M, k)
 
 
 def random_partial(p: int, k: int, rng, margin=0.1) -> PartialBlockMatrix:
@@ -31,7 +34,7 @@ def random_partial(p: int, k: int, rng, margin=0.1) -> PartialBlockMatrix:
     W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     A = W.conj().T @ W / n + margin * np.eye(n)
     i, j = sorted(rng.choice(p, size=2, replace=False))
-    return hide_pair(A, (int(i), int(j)), k), A
+    return hide_pair(A, (int(i), int(j)), k)
 
 
 def test_worked_scalar_example():
@@ -46,17 +49,17 @@ def test_worked_scalar_example():
 
 def test_boundary_completions():
     P = hide_pair(np.array([[1, 0.5, 0], [0.5, 1, 0.5], [0, 0.5, 1.0]]), (0, 2), 1)
-    full0 = complete(P, [[0.0]])
-    assert np.allclose(full0[0, 2], 0.25)
-    assert np.linalg.eigvalsh(full0).min() >= -1e-12
-    full1 = complete(P, [[1.0]])
-    assert np.allclose(full1[0, 2], 1.0)
-    w = np.linalg.eigvalsh(full1)
+    filled0 = complete(P, [[0.0]])
+    assert np.allclose(filled0, 0.25)
+    assert np.linalg.eigvalsh(P.completed_with(filled0)).min() >= -1e-12
+    filled1 = complete(P, [[1.0]])
+    assert np.allclose(filled1, 1.0)
+    w = np.linalg.eigvalsh(P.completed_with(filled1))
     assert w.min() >= -1e-12
     assert w.min() <= 1e-12  # boundary contraction forces a rank drop
-    fullm = complete(P, [[-1.0]])
-    assert np.allclose(fullm[0, 2], -0.5)
-    assert np.linalg.eigvalsh(fullm).min() >= -1e-12
+    filledm = complete(P, [[-1.0]])
+    assert np.allclose(filledm, -0.5)
+    assert np.linalg.eigvalsh(P.completed_with(filledm)).min() >= -1e-12
 
 
 def test_empty_E_convention():
@@ -67,8 +70,7 @@ def test_empty_E_convention():
     assert np.allclose(dd.central, [[0.0]])
     assert np.allclose(np.abs(dd.defect_k), [[2.0]])
     assert np.allclose(np.abs(dd.defect_l), [[1.0]])
-    full = complete(P, [[1.0]])
-    assert np.allclose(full[0, 1], 2.0)
+    assert np.allclose(complete(P, [[1.0]]), 2.0)
 
 
 def test_block_case():
@@ -80,8 +82,7 @@ def test_block_case():
     A[2:4, 0:2] = 0.5 * I2
     A[2:4, 4:6] = 0.5 * I2
     A[4:6, 2:4] = 0.5 * I2
-    P = PartialBlockMatrix(A, (0, 2), 2)
-    dd = analyze(P)
+    dd = analyze(hide_pair(A, (0, 2), 2))
     assert np.allclose(dd.central, 0.25 * I2)
 
 
@@ -89,10 +90,10 @@ def test_completion_psd_for_all_contractions():
     for trial in range(60):
         k = 1 + trial % 2
         p = int(RNG.integers(3, 7))
-        P, _ = random_partial(p, k, RNG)
+        P = random_partial(p, k, RNG)
         dd = analyze(P)
         gamma = random_contraction(dd.gamma_shape, RNG)
-        full = complete(P, gamma)
+        full = P.completed_with(complete(P, gamma))
         scale = np.linalg.norm(full, 2)
         assert np.linalg.eigvalsh(full).min() >= -1e-9 * scale
 
@@ -102,7 +103,7 @@ def test_non_contraction_breaks_psd():
     # defects must leave the PSD cone
     for trial in range(20):
         k = 1 + trial % 2
-        P, _ = random_partial(4, k, RNG)
+        P = random_partial(4, k, RNG)
         dd = analyze(P)
         g = random_contraction(dd.gamma_shape, RNG, norm=1.1 + RNG.uniform(0, 0.5))
         filled = dd.central + dd.defect_k.conj().T @ g @ dd.defect_l
@@ -110,7 +111,7 @@ def test_non_contraction_breaks_psd():
 
 
 def test_complete_rejects_bad_gamma():
-    P, _ = random_partial(3, 1, RNG)
+    P = random_partial(3, 1, RNG)
     dd = analyze(P)
     with pytest.raises(ContractionNormError):
         complete(P, 1.2 * np.ones(dd.gamma_shape))
@@ -123,28 +124,49 @@ def test_extract_gamma_examples():
     dd = analyze(P)
     assert np.allclose(extract_gamma(P, dd.central), 0.0)
     g0 = np.array([[0.37 + 0.21j]])
-    filled = complete(P, g0)[0:1, 2:3]
-    assert np.allclose(extract_gamma(P, filled), g0, atol=1e-10)
+    assert np.allclose(extract_gamma(P, complete(P, g0)), g0, atol=1e-10)
 
 
 def test_extract_complete_roundtrip_full_rank():
     for trial in range(40):
         k = 1 + trial % 2
-        P, _ = random_partial(int(RNG.integers(2, 6)), k, RNG)
+        P = random_partial(int(RNG.integers(2, 6)), k, RNG)
         dd = analyze(P)
         if min(dd.gamma_shape) < k:
             continue
         g0 = random_contraction(dd.gamma_shape, RNG, norm=RNG.uniform(0, 0.95))
-        i, j = P.missing
-        filled = complete(P, g0)[i * k : (i + 1) * k, j * k : (j + 1) * k]
-        assert np.abs(extract_gamma(P, filled) - g0).max() <= 1e-8
+        assert np.abs(extract_gamma(P, complete(P, g0)) - g0).max() <= 1e-8
+
+
+def test_complete_returns_the_entry_of_the_hidden_pair():
+    # the k x k entry at block (p - 2, p - 1), the argument extract_gamma
+    # takes; completed_with places it and its adjoint there, and only there
+    for k in (1, 2):
+        P = random_partial(4, k, RNG)
+        dd = analyze(P)
+        g = random_contraction(dd.gamma_shape, RNG, norm=0.5)
+        filled = complete(P, g)
+        assert filled.shape == (k, k)
+        assert np.array_equal(filled, dd.central + dd.defect_k.conj().T @ g @ dd.defect_l)
+        full = P.completed_with(filled)
+        assert np.array_equal(full[-2 * k : -k, -k:], filled)
+        assert np.array_equal(full[-k:, -2 * k : -k], filled.conj().T)
+        assert np.array_equal(full[: -2 * k], P.entries[: -2 * k])
+        assert np.array_equal(full[:, : -2 * k], P.entries[:, : -2 * k])
+
+
+def test_a_window_of_one_block_is_refused():
+    # the hidden pair is the last two blocks, so a window holds at least two
+    with pytest.raises(ValueError, match="two or more 2-blocks"):
+        PartialBlockMatrix(np.eye(2), 2)
+    PartialBlockMatrix(np.eye(4), 2)
 
 
 def test_extracted_norm_slack_renormalizes_or_refuses():
     # defects of 1e-3 on both sides scale the entry by 1e6: an entry 1e-7
     # past the boundary is within EXTRACT_NORM_SLACK = 1e-6 and is scaled
     # back to norm 1; 1e-5 past it is refused
-    P = PartialBlockMatrix(np.diag([1e-6, 1e-6]), (0, 1), 1)
+    P = PartialBlockMatrix(np.diag([1e-6, 1e-6]), 1)
     g = extract_gamma(P, np.array([[1e-6 * (1 + 1e-7)]]))
     assert abs(np.linalg.norm(g, 2) - 1.0) <= 1e-15
     with pytest.raises(CompletionError, match="operator norm"):
@@ -172,8 +194,7 @@ def test_zero_defect_convention():
     assert dd.defect_l.shape[0] == 0
     g = extract_gamma(P, np.array([[0.5]]))
     assert g.shape == (dd.gamma_shape[0], 0)
-    full = complete(P, g)
-    assert np.allclose(full[0, 2], dd.central)
+    assert np.allclose(complete(P, g), dd.central)
 
 
 def test_partial_positivity_error_names_submatrix():
@@ -187,12 +208,12 @@ def test_rank_monotone_at_boundary():
     # boundary contraction with full-rank defects drops the completed rank
     for trial in range(10):
         k = 1 + trial % 2
-        P, _ = random_partial(4, k, RNG)
+        P = random_partial(4, k, RNG)
         dd = analyze(P)
         if min(dd.gamma_shape) < k:
             continue
         g = random_contraction(dd.gamma_shape, RNG, norm=1.0)
-        full = complete(P, g)
+        full = P.completed_with(complete(P, g))
         w = np.linalg.eigvalsh(full)
         assert (w > 1e-10 * w.max()).sum() < 4 * k
 
@@ -248,9 +269,7 @@ def test_complete_extract_roundtrip_on_singular_windows(window):
     for F in (dd.defect_k, dd.defect_l):
         assume(F.shape[0] == k and np.linalg.svd(F, compute_uv=False).min() ** 2 >= 1e-6)
     g0 = random_contraction(dd.gamma_shape, rng, norm=rng.uniform(0, 0.99))
-    i, j = P.missing
-    filled = complete(P, g0)[i * k : (i + 1) * k, j * k : (j + 1) * k]
-    assert np.abs(extract_gamma(P, filled) - g0).max() <= 1e-8
+    assert np.abs(extract_gamma(P, complete(P, g0)) - g0).max() <= 1e-8
 
 
 @st.composite

@@ -245,18 +245,18 @@ def test_translation_coherence():
     out, _ = extend_to_ball(phi, 3, zero_oracle)
     C = clique_C(nu)
     for r in [(2,), (-1,), (2, 1)]:
+        pair = [mul(r, E), mul(r, nu.rep)]
         translated = sorted((mul(r, w) for w in C), key=CTX2.sort_key)
-        i_e = translated.index(mul(r, E))
-        i_s = translated.index(mul(r, nu.rep))
+        translated = [w for w in translated if w not in pair] + pair
         N = len(translated)
         A = np.zeros((N, N), dtype=complex)
         for i, s in enumerate(translated):
             for j, t in enumerate(translated):
-                if {i, j} == {i_e, i_s}:
+                if {i, j} == {N - 2, N - 1}:
                     continue
                 A[i, j] = phi.value(mul(inverse(s), t))[0, 0]
-        P = PartialBlockMatrix(A, (i_e, i_s), 1)
-        filled = complete(P, np.zeros((1, 1)))[i_e, i_s]
+        P = PartialBlockMatrix(A, 1)
+        filled = complete(P, np.zeros((1, 1)))[0, 0]
         assert np.allclose(filled, out.value(nu.rep)[0, 0])
 
 
@@ -450,17 +450,13 @@ def test_extract_replay_values_at_radius_4():
 
 
 def _reference_report(phi, n):
-    """check_max_orthogonal class by class: one analyze per class of its window {e} + Sigma(e, t) + {t}.
-
-    e leads the window, not next to t as in check-ortho's own layout.
-    """
+    """check_max_orthogonal class by class: one analyze per class of its window Sigma(e, t) + {e, t}."""
     index = phi.table.index
     worst, worst_class = 0.0, None
     for cursor in index.classes(n + 1):
         t = cursor.rep
-        words = [E, *sigma_set(phi.ctx, E, t, index), t]
-        blocks = phi.table.gram_blocks([index.ids[w] for w in words])
-        P = PartialBlockMatrix(blocks, (0, len(words) - 1), phi.k)
+        words = [*sigma_set(phi.ctx, E, t, index), E, t]
+        P = PartialBlockMatrix(phi.table.gram_blocks([index.ids[w] for w in words]), phi.k)
         violation = float(np.linalg.norm(phi.value(t) - analyze(P).central, 2))
         if violation > worst:
             worst, worst_class = violation, cursor
@@ -468,17 +464,14 @@ def _reference_report(phi, n):
 
 
 def _reference_params(phi, n):
-    """extract_params class by class: one extract_gamma per class of its clique window.
-
-    The window keeps the clique's own order, e and s_nu where they fall, not last.
-    """
+    """extract_params class by class: one extract_gamma per class of its clique window, e and s_nu last."""
     index = phi.table.index
     out = {}
     for length in range(n + 1, phi.ball_radius() + 1):
         for cursor in index.classes(length):
             clique = clique_C(cursor, index)
-            blocks = phi.table.gram_blocks([index.ids[w] for w in clique])
-            P = PartialBlockMatrix(blocks, (clique.index(E), clique.index(cursor.rep)), phi.k)
+            words = [w for w in clique if w not in (E, cursor.rep)] + [E, cursor.rep]
+            P = PartialBlockMatrix(phi.table.gram_blocks([index.ids[w] for w in words]), phi.k)
             out[cursor] = extract_gamma(P, phi.value(cursor.rep))
     return out
 
@@ -520,9 +513,8 @@ def test_params_decides_each_completion_without_completing_its_window(monkeypatc
 
 def test_stacked_checks_equal_the_per_class_loops():
     # check-ortho analyses each level in stacks of Sigma-windows and params
-    # each length in stacks of clique windows of one size, each window with
-    # its hidden pair last: both give what the class-by-class loops, in the
-    # windows' own orders, give, bit for bit, on a central and a
+    # each length in stacks of clique windows of one size: both give what
+    # the class-by-class loops give, bit for bit, on a central and a
     # random-oracle extension and on functions that are not positive.  In
     # the damaged one, a stack meets a failure that a class earlier in the
     # order, in another stack, fails differently: the error is that class's

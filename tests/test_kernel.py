@@ -46,7 +46,7 @@ def _reference_gram_factor(S, tol):
 
 def _reference_analyze(P, tol=DEFAULT_TOL):
     """One ``eigh``, two bordered ``eigvalsh`` and two factor ``eigh`` calls."""
-    i, j = P.missing
+    i, j = P.p - 2, P.p - 1
     k = P.k
     others = np.delete(np.arange(P.p * k).reshape(P.p, k), (i, j), axis=0).ravel()
     rows = P.entries[others]
@@ -59,7 +59,7 @@ def _reference_analyze(P, tol=DEFAULT_TOL):
     for x, y in ((i, j), (j, i)):
         B = V.conj().T @ rows[:, x * k : (x + 1) * k]
         R_x = B[keep] / np.sqrt(w[keep])[:, None]
-        S_x = P.block(x, x) - R_x.conj().T @ R_x
+        S_x = P.entries[x * k : (x + 1) * k, x * k : (x + 1) * k] - R_x.conj().T @ R_x
         S.append((S_x + S_x.conj().T) / 2.0)
         mu = np.linalg.eigvalsh(np.block([[w_drop, B[~keep]], [B[~keep].conj().T, S[-1]]]))
         if mu.min() < -tol.psd_eps * max(scale, np.abs(mu).max()):
@@ -113,15 +113,18 @@ def _gram_window(draw, rng, k, p, kind, rank=None):
 
 
 def _hidden(A, i, j, k):
-    M = A.copy()
-    M[i * k : (i + 1) * k, j * k : (j + 1) * k] = 0.0
-    M[j * k : (j + 1) * k, i * k : (i + 1) * k] = 0.0
+    """A with its blocks i and j moved, in that order, behind the others, and that pair hidden."""
+    order = [a for a in range(len(A) // k) if a not in (i, j)] + [i, j]
+    idx = (np.array(order)[:, None] * k + np.arange(k)).ravel()
+    M = A[np.ix_(idx, idx)]
+    M[-2 * k : -k, -k:] = 0.0
+    M[-k:, -2 * k : -k] = 0.0
     return M
 
 
 @st.composite
 def windows(draw):
-    """A Hermitian window with a hidden block pair.
+    """A Hermitian window whose drawn block pair is moved last and hidden.
 
     ``psd``: a generic positive definite Gram matrix.  ``lowrank``: a Gram
     matrix of fewer vectors than columns, so A[E,E] and the Schur
@@ -136,7 +139,7 @@ def windows(draw):
     kind = draw(st.sampled_from(["psd", "lowrank", "exact", "indefinite"]))
     i, j = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return PartialBlockMatrix(_hidden(_gram_window(draw, rng, k, p, kind), i, j, k), (i, j), k)
+    return PartialBlockMatrix(_hidden(_gram_window(draw, rng, k, p, kind), i, j, k), k)
 
 
 @kernel_property
@@ -151,7 +154,7 @@ def test_analyze_matches_per_matrix_kernel(P):
 
 @st.composite
 def window_stacks(draw, failing: bool):
-    """2-6 windows of one shape and one hidden pair, as one stacked partial matrix.
+    """2-6 windows of one shape, the same drawn block pair moved last and hidden in each, as one stack.
 
     One window is positive definite and one has a Gram matrix of fewer
     vectors than |E| columns, so A[E,E] is full rank in one and rank
@@ -175,7 +178,7 @@ def window_stacks(draw, failing: bool):
         bad = stack[0].copy()
         bad[b * k : (b + 1) * k, b * k : (b + 1) * k] = -np.eye(k)
         stack.insert(draw(st.integers(0, len(stack))), bad)
-    return PartialBlockMatrix(np.array([_hidden(A, i, j, k) for A in stack]), (i, j), k)
+    return PartialBlockMatrix(np.array([_hidden(A, i, j, k) for A in stack]), k)
 
 
 def _alone(P):
@@ -185,7 +188,7 @@ def _alone(P):
         dd = analyze(W)
         return dd.central, dd.defect_k, dd.defect_l
 
-    return [_outcome(lambda W=W: one(PartialBlockMatrix(W, P.missing, P.k))) for W in P.entries]
+    return [_outcome(lambda W=W: one(PartialBlockMatrix(W, P.k))) for W in P.entries]
 
 
 @kernel_property
@@ -244,12 +247,13 @@ def test_stacked_factors_match_gram_factor(case):
 
 def test_first_failing_submatrix_is_named():
     # both submatrices over E + {x} are indefinite: the one tested first,
-    # x = missing[0], names the other block, as the per-matrix kernel does
+    # x = p - 2, names the other block, p - 1, as the per-matrix kernel does,
+    # whichever of the two blocks 0 and 3 of A the window puts last
     A = np.array(
         [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 2.0, 1.0]]
     )
-    for missing, block in (((0, 3), 3), ((3, 0), 0)):
-        P = PartialBlockMatrix(A, missing, 1)
-        with pytest.raises(PartialPositivityError, match=f"without block {block} "):
+    for missing in ((0, 3), (3, 0)):
+        P = PartialBlockMatrix(_hidden(A, *missing, 1), 1)
+        with pytest.raises(PartialPositivityError, match="without block 3 "):
             analyze(P)
         _assert_same(_outcome(lambda: analyze(P)), _outcome(lambda: _reference_analyze(P)))
