@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -71,19 +70,6 @@ def _diagnostic(kind: str, detail: str, **extra):
     print(json.dumps(doc), file=sys.stderr)
 
 
-def _tol(args, default: float) -> float:
-    """The ``--tol`` value as given, or ``default`` when the option is absent."""
-    if args.tol is None:
-        return default
-    if not 0 < args.tol < math.inf:
-        raise CliInputError(f"--tol must be positive and finite, got {args.tol}")
-    return args.tol
-
-
-def _tolerance(args) -> Tolerance:
-    return Tolerance(psd_eps=_tol(args, DEFAULT_TOL.psd_eps))
-
-
 def _load_pdfun(path):
     return pdfunction_from_json(jsonio.load_path(path))
 
@@ -99,7 +85,7 @@ def _parse_order(text: str | None):
 
 def cmd_verify(args) -> int:
     phi = _load_pdfun(args.input)
-    result = verify_pd(phi, _tolerance(args))
+    result = verify_pd(phi, Tolerance(args.tol))
     report = {
         "ok": result.ok,
         "min_eigenvalue": result.min_eigenvalue,
@@ -134,7 +120,7 @@ def cmd_extend(args) -> int:
     else:
         oracle = zero_oracle
     try:
-        ext, trace = extend_to_ball(phi, args.to, oracle, _tolerance(args))
+        ext, trace = extend_to_ball(phi, args.to, oracle, Tolerance(args.tol))
     except KeyError as exc:
         raise CliInputError(f"parameter file does not cover the extension: {exc}") from exc
     jsonio.dump_path(args.output, ext.to_json_dict())
@@ -149,7 +135,7 @@ def cmd_extend(args) -> int:
 
 def cmd_params(args) -> int:
     phi = _load_pdfun(args.input)
-    params = extract_params(phi, args.from_n, _tolerance(args))
+    params = extract_params(phi, args.from_n, Tolerance(args.tol))
     doc = params_to_json(phi.ctx, phi.k, args.from_n, phi.ball_radius(), params)
     jsonio.dump_path(args.output, doc)
     return 0
@@ -157,7 +143,7 @@ def cmd_params(args) -> int:
 
 def cmd_check_ortho(args) -> int:
     phi = _load_pdfun(args.input)
-    report = check_max_orthogonal(phi, args.level, tol=_tol(args, RESIDUAL_TOL))
+    report = check_max_orthogonal(phi, args.level, tol=args.tol)
     out = {
         "ok": report.ok,
         "worst_violation": report.worst_violation,
@@ -191,7 +177,7 @@ def cmd_radialize(args) -> int:
 
 def cmd_factor(args) -> int:
     p = ncpolynomial_from_json(jsonio.load_path(args.input))
-    result = factor_sos(p, tol=_tol(args, RESIDUAL_TOL), max_iter=args.max_iter)
+    result = factor_sos(p, tol=args.tol, max_iter=args.max_iter)
     if isinstance(result, InfeasibleReport):
         if result.witness is not None:
             detail = (
@@ -236,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tol(p, bound: str, default: float):
-        p.add_argument("--tol", type=float, default=None, help=f"{bound} (default {default:g})")
+        p.add_argument("--tol", type=float, default=default, help=f"{bound} (default {default:g})")
 
     window_floor = "relative PSD floor of the positivity tests of each completion window"
 

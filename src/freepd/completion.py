@@ -140,8 +140,10 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL):
     That is the window's one partial-positivity test: S_x is a principal
     submatrix of its bordered matrix, so by interlacing the test bounds
     lambda_min(S_x) at the window's scale, and one stacked ``eigh`` factors
-    both Schur complements with the rank cut ``RANK_EPS`` alone.  Its floor,
-    :func:`_window_floor`, also decides :func:`extract_gamma`'s completion test.
+    both Schur complements with the rank cut ``RANK_EPS`` alone.  Its floor
+    is ``tol.psd_floor`` at the window's scale max(1, max |w(A[E,E])|),
+    which takes in the spectrum of A[E,E] that the bordered matrices do not
+    contain; :func:`extract_gamma`'s completion test uses the same floor.
 
     A stack of windows gets one list of :class:`DefectData`, each what the
     window alone gives, bit for bit: every LAPACK call and product runs on
@@ -183,7 +185,7 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL):
         bordered[:, :, :d, d:] = B_g[:, :, :d]
         bordered[:, :, d:, :d] = B_g[:, :, :d].conj().swapaxes(2, 3)
         mu = np.linalg.eigvalsh(bordered)
-        bad[g] = mu.min(axis=2) < _window_floor(tol, scale[g, None], mu)
+        bad[g] = mu.min(axis=2) < tol.psd_floor(mu, scale[g, None])
         S[g] = bordered[:, :, d:, d:]
         V_keep = np.ascontiguousarray(V[g].swapaxes(1, 2)[:, d:]).swapaxes(1, 2)
         central[g] = A_kE[g] @ (V_keep @ (B_g[:, 1, d:] / w[g, d:, None]))
@@ -201,18 +203,6 @@ def analyze(P: PartialBlockMatrix, tol: Tolerance = DEFAULT_TOL):
         for c in range(len(central))
     ]
     return out if P.entries.ndim == 3 else out[0]
-
-
-def _window_floor(tol: Tolerance, scale, mu: np.ndarray):
-    """The least eigenvalue a window's test may show: -psd_eps * max(scale, max |mu|).
-
-    The one floor of :func:`analyze`'s bordered test and of
-    :func:`extract_gamma`'s Schur-block test, one per row of a stack of
-    spectra mu.  Not ``Tolerance.psd_floor``: ``scale`` = max(1, max
-    |w(A[E,E])|) takes in the spectrum of A[E,E], which the tested
-    matrices do not contain.
-    """
-    return -tol.psd_eps * np.maximum(scale, np.abs(mu).max(axis=-1))
 
 
 def _coerce_gamma(gamma, shape: tuple[int, int]) -> np.ndarray:
@@ -255,12 +245,13 @@ def extract_gamma(
     returned (components annihilated by zero defects are unrecoverable).  Given
     partial positivity, F completes P to a PSD matrix exactly when the
     Schur block [[S_k, F - central], [., S_l]] is PSD, and that block is
-    tested at :func:`analyze`'s floor, with no eigenvalue of the whole
-    window.  A stack of windows takes a (C, k, k) stack of entries and
-    gives a list of parameters, from one :func:`analyze` and one
-    ``eigvalsh`` of the stacked Schur blocks, with the pseudo-inverses
-    taken window by window.  Each check runs over the whole stack before
-    the next and names its first failing window.
+    tested at :func:`analyze`'s floor, ``tol.psd_floor`` at the window's
+    ``scale``, with no eigenvalue of the whole window.  A stack of windows
+    takes a (C, k, k) stack of entries and gives a list of parameters,
+    from one :func:`analyze` and one ``eigvalsh`` of the stacked Schur
+    blocks, with the pseudo-inverses taken window by window.  Each check
+    runs over the whole stack before the next and names its first failing
+    window.
     """
     dd = analyze(P, tol)
     F = as_matrix(filled, stacked=True)
@@ -271,7 +262,7 @@ def extract_gamma(
     S = np.array([d.schur for d in dds])
     X = Fs - np.array([d.central for d in dds])
     mu = np.linalg.eigvalsh(np.block([[S[:, 0], X], [X.conj().swapaxes(1, 2), S[:, 1]]]))
-    if (mu.min(axis=1) < _window_floor(tol, np.array([d.scale for d in dds]), mu)).any():
+    if (mu.min(axis=1) < tol.psd_floor(mu, np.array([d.scale for d in dds]))).any():
         raise CompletionError("the proposed entry does not give a PSD completion")
     message = (
         "extracted parameter has operator norm {:.6g}; "

@@ -30,7 +30,7 @@ from .completion import (
     complete,
     extract_gamma,
 )
-from .linalg import DEFAULT_TOL, RESIDUAL_TOL, Tolerance
+from .linalg import DEFAULT_TOL, RESIDUAL_TOL, Tolerance, check_positive_finite
 from .pdfun import BallDomain, PdFunction, WordValues
 from .words import (
     E,
@@ -286,8 +286,9 @@ def check_max_orthogonal(phi: PdFunction, n: int, tol: float = RESIDUAL_TOL) -> 
     the distance of Phi(t) from the central value of the Gram window of
     Sigma + {e, t} with (e, t) hidden; it must vanish within ``tol``.  By
     translation invariance the representatives cover all pairs at
-    distance n + 1.
+    distance n + 1.  ``tol`` must be positive and finite.
     """
+    check_positive_finite(tol, "tol")
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     N = phi.ball_radius()

@@ -124,9 +124,20 @@ def same_file(a, b) -> bool:
         return False
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, which must not list one key twice (``json`` alone keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise SchemaError(f"an object lists the key {key!r} twice")
+    return obj
+
+
 def load_path(path) -> dict:
+    """The JSON object in the file ``path``; any object in it that repeats a key is refused."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):

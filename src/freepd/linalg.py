@@ -11,10 +11,12 @@ data, relative to max(1, its largest entry) unless marked absolute.  A
 rank cut treats eigenvalues or singular values at most that fraction of
 the largest as zero.  A norm slack is how far past 1 a contraction's
 norm may round: up to it the contraction is scaled back to norm 1.
-Bounds derived from eps and a size stay where they are computed:
-``completion.analyze``'s rank cut |E| * eps * max(w) and window floor
-(``completion._window_floor``, which also decides ``extract_gamma``), and
-the two margins of ``ncpoly._GramProblem.separating_witness``.
+A user tolerance must be positive and finite (:func:`check_positive_finite`).
+Every PSD test has one floor, :meth:`Tolerance.psd_floor`, at the scale 1
+or at a completion window's.  Bounds derived from eps and a size stay
+where they are computed: ``completion.analyze``'s rank cut
+|E| * eps * max(w) and the two margins of
+``ncpoly._GramProblem.separating_witness``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ GAMMA_NORM_SLACK = 1e-9
 EXTRACT_NORM_SLACK = 1e-6
 
 
+def check_positive_finite(value: float, name: str):
+    """Refuse a tolerance or rate that is not strictly positive and finite (NaN included)."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """The user tolerance of positivity tests: the relative PSD eigenvalue floor."""
@@ -52,15 +60,15 @@ class Tolerance:
     psd_eps: float = 1e-10  # user tolerance (--tol of verify, extend, params)
 
     def __post_init__(self):
-        if not 0 < self.psd_eps < np.inf:
-            raise ValueError("tolerances must be strictly positive and finite")
+        check_positive_finite(self.psd_eps, "psd_eps")
 
-    def psd_floor(self, w: np.ndarray):
-        """The least eigenvalue a PSD spectrum w may show: -psd_eps * max(1, max |w|).
+    def psd_floor(self, w: np.ndarray, scale=1.0):
+        """The least eigenvalue a PSD spectrum w may show: -psd_eps * max(scale, max |w|).
 
-        A stack of spectra, one per row, gets one floor per row.
+        A stack of spectra, one per row, gets one floor per row, and
+        ``scale`` may hold one scale per row.
         """
-        return -self.psd_eps * np.maximum(1.0, np.abs(w).max(axis=-1))
+        return -self.psd_eps * np.maximum(scale, np.abs(w).max(axis=-1))
 
 
 DEFAULT_TOL = Tolerance()
@@ -101,18 +109,14 @@ def eig_hermitian(A) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
-def is_psd(A, tol: Tolerance = DEFAULT_TOL):
-    """True iff the smallest eigenvalue is >= -psd_eps * max(1, ||A||).
-
-    A stack of matrices is tested by one stacked ``eigvalsh``, with one
-    answer per matrix.
-    """
-    M = as_matrix(A, stacked=True)
+def is_psd(A, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True iff the smallest eigenvalue is >= -psd_eps * max(1, ||A||)."""
+    M = as_matrix(A)
     _check_hermitian(M)
     if M.size == 0:
-        return np.ones(M.shape[:-2], dtype=bool)[()]
-    w = np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2.0)
-    return w.min(axis=-1) >= tol.psd_floor(w)
+        return True
+    w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+    return bool(w[0] >= tol.psd_floor(w))
 
 
 def gram_factor(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

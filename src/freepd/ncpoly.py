@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import jsonio
-from .linalg import DATA_RTOL, RESIDUAL_TOL, _psd_clip, as_matrix, gram_factor
+from .linalg import DATA_RTOL, RESIDUAL_TOL, _psd_clip, as_matrix, check_positive_finite, gram_factor
 from .sampling import unitary_part
 from .words import GroupContext, Word, WordIndex, inverse, mul, reduce_word
 
@@ -462,8 +462,9 @@ def factor_sos(
     :class:`~freepd.words.BallSizeError` before any iteration: F_2 from
     degree 11, F_3 and F_4 from degree 7, F_5 from degree 5.  A polish
     rank whose Jacobian would hold more than ``JACOBIAN_ENTRY_CAP``
-    entries is skipped.
+    entries is skipped.  ``tol`` must be positive and finite.
     """
+    check_positive_finite(tol, "tol")
     if max_iter < 1:
         raise ValueError(f"sum-of-squares search needs max_iter >= 1, got {max_iter}")
     if not p.is_hermitian():

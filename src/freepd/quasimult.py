@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DATA_RTOL, _renormalized, as_matrix
+from .linalg import DATA_RTOL, _renormalized, as_matrix, check_positive_finite
 from .ncpoly import eval_word
 from .pdfun import BallDomain, PdFunction
 from .words import GroupContext, Word, reduce_word
@@ -62,8 +62,7 @@ def as_pdfunction(g: GeneratorAssignment, n: int) -> PdFunction:
 
 def haagerup(ctx: GroupContext, k: int, t: float, n: int) -> PdFunction:
     """The radial function Phi(s) = exp(-t |s|) I_k on S_n, for t > 0."""
-    if not 0 < t < math.inf:
-        raise ValueError(f"decay rate must be positive and finite, got t = {t}")
+    check_positive_finite(t, "decay rate t")
     eye = np.eye(k, dtype=complex)
     values = {
         rep: math.exp(-t * len(rep)) * eye for rep in BallDomain(n).class_reps(ctx)

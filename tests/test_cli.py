@@ -665,6 +665,24 @@ def test_pdfun_word_listed_twice_is_bad_input(tmp_path, capfd):
         assert json.loads(err)["detail"] == "'entries' lists the word [1] twice"
 
 
+def test_a_key_repeated_in_one_object_is_bad_input(tmp_path, capfd):
+    # json alone keeps the last value of a repeated key: "k": 2, "k": 1 would
+    # read as k = 1, and a repeated domain with the same value would pass
+    h = tmp_path / "h.json"
+    run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))
+    text = h.read_text()
+    repeats = {
+        "k": ('\n "k": 1,', '\n "k": 2,\n "k": 1,'),
+        "domain": ('\n "domain": {', '\n "domain": {"type": "ball", "n": 1},\n "domain": {'),
+        "value": ('\n   "value": [', '\n   "value": [[[1.0, 0.0]]],\n   "value": ['),
+    }
+    for key, (once, twice) in repeats.items():
+        h.write_text(text.replace(once, twice, 1))
+        code, _, err = run(capfd, "verify", str(h))
+        assert_bad_input(code, err)
+        assert json.loads(err)["detail"] == f"an object lists the key {key!r} twice"
+
+
 def test_json_true_is_not_a_letter_of_a_pdfun_word(tmp_path, capfd):
     h = tmp_path / "h.json"
     run(capfd, "haagerup", "--m", "2", "--t", "0.6", "--n", "1", "-o", str(h))

@@ -47,6 +47,30 @@ def test_thresholds_are_named_only_in_linalg():
     assert stray == []
 
 
+def test_only_linalg_computes_with_psd_eps():
+    # the PSD floor is Tolerance.psd_floor: elsewhere psd_eps may be read, as
+    # the CLI reads its default, but no operator takes it as an operand
+    package = Path(freepd.__file__).resolve().parent
+
+    def operands(node):
+        if isinstance(node, ast.BinOp):
+            return [node.left, node.right]
+        if isinstance(node, ast.UnaryOp):
+            return [node.operand]
+        if isinstance(node, ast.AugAssign):
+            return [node.target, node.value]
+        return []
+
+    stray = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if any(isinstance(x, ast.Attribute) and x.attr == "psd_eps" for x in operands(node))
+    ]
+    assert stray == []
+
+
 def test_readme_tolerance_table_lists_exactly_the_thresholds():
     # the README's Tolerances table: one row per threshold, name and value as in linalg
     readme = (Path(freepd.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")

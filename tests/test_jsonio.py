@@ -2,6 +2,7 @@ import json
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +77,43 @@ def test_every_schema_reserializes_to_the_same_bytes(ctx, k, seed):
     for doc, parse_and_dump in cases:
         first, again = reserialized(doc, parse_and_dump)
         assert again == first, doc["schema"]
+
+
+def with_first_key_repeated(obj: dict) -> str:
+    """The JSON text of obj with its first key listed once more, first, with the same value."""
+    key = next(iter(obj))
+    return "{" + json.dumps(key) + ": " + json.dumps(obj[key]) + ", " + json.dumps(obj)[1:]
+
+
+def test_every_schema_refuses_a_key_repeated_in_one_object(tmp_path):
+    # json alone keeps the last value of a repeated key, whatever the values;
+    # here both agree, and the object is still refused, at the top level and
+    # inside an entry
+    ctx, rng = GroupContext(2), np.random.default_rng(5)
+    phi = random_pd_function(ctx, 1, 2, rng)
+    _, trace = extend_to_ball(phi, 3, random_gamma_oracle(5))
+    poly = NcPolynomial(ctx, 1, {w: rng.normal(size=(1, 1)) + 0j for w in ball(ctx, 1)})
+    docs = [
+        phi.to_json_dict(),
+        params_to_json(ctx, 1, 2, 3, trace.params()),
+        trace.to_json_dict(),
+        poly.to_json_dict(),
+        certificate_to_json(random_certificate(ctx, 1, rng)),
+    ]
+    assert sorted(doc["schema"] for doc in docs) == sorted(jsonio._HEADERS)
+    path = tmp_path / "doc.json"
+    for doc in docs:
+        # the list of entries: "entries", "params", "steps", "terms" or "factors"
+        name = next(key for key, value in doc.items() if isinstance(value, list) and isinstance(value[0], dict))
+        entry, *rest = doc[name]
+        in_entry = json.dumps({**doc, name: ["@", *rest]}).replace('"@"', with_first_key_repeated(entry))
+        cases = [("schema", with_first_key_repeated(doc)), (next(iter(entry)), in_entry)]
+        for key, text in cases:
+            path.write_text(text)
+            with pytest.raises(jsonio.SchemaError, match=f"^an object lists the key '{key}' twice$"):
+                jsonio.load_path(path)
+        path.write_text(json.dumps(doc))
+        assert jsonio.load_path(path) == doc
 
 
 def test_dump_path_streams_the_bytes_of_dumps(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from freepd.completion import PartialBlockMatrix
+from freepd.extend import check_max_orthogonal
 from freepd.linalg import (
     DEFAULT_TOL,
     NotHermitianError,
@@ -13,6 +14,9 @@ from freepd.linalg import (
     pinv,
     psd_project,
 )
+from freepd.ncpoly import NcPolynomial, factor_sos
+from freepd.quasimult import haagerup
+from freepd.words import E, GroupContext
 
 RNG = np.random.default_rng(42)
 
@@ -52,12 +56,10 @@ def test_a_stack_with_one_non_hermitian_window_is_refused():
     # each window of a stack is held to its own scale: an asymmetry of 1e-9
     # would pass within the scale of the 1e4-sized window beside it
     stack = np.stack([1e4 * random_hermitian(4), random_hermitian(4), random_hermitian(4)])
-    assert is_psd(stack).shape == (3,)
     PartialBlockMatrix(stack, 2)
     stack[1, 0, 1] += 1e-9
-    for refuse in (is_psd, lambda A: PartialBlockMatrix(A, 2)):
-        with pytest.raises(NotHermitianError, match=r"matrix of shape \(4, 4\) is not Hermitian"):
-            refuse(stack)
+    with pytest.raises(NotHermitianError, match=r"matrix of shape \(4, 4\) is not Hermitian"):
+        PartialBlockMatrix(stack, 2)
 
 
 def test_rejects_non_finite():
@@ -143,9 +145,17 @@ def test_psd_project_idempotent_and_nonexpansive():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(psd_eps=0.0)
-    for bad in (np.inf, np.nan):
-        with pytest.raises(ValueError):
+    # every user tolerance is refused unless positive and finite, before any
+    # work: a residual tolerance of inf would certify anything, and one of
+    # nan nothing
+    phi = haagerup(GroupContext(2), 1, 0.5, 2)
+    square = {E: np.array([[2.0]]), (1,): np.array([[1.0]]), (-1,): np.array([[1.0]])}  # |1 + X|^2
+    p = NcPolynomial(GroupContext(1), 1, square)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="psd_eps must be positive and finite"):
             Tolerance(psd_eps=bad)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            check_max_orthogonal(phi, 1, tol=bad)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            factor_sos(p, tol=bad, max_iter=50)
     assert DEFAULT_TOL.psd_eps == 1e-10
