@@ -172,6 +172,11 @@ def eval_unitaries(p: NcPolynomial, unitaries: Sequence[np.ndarray]) -> np.ndarr
     Each of the m substituted matrices must be unitary within ``DATA_RTOL``, the
     data rule at the scale 1 of a unitary: no entry of U* U - I above it.
     Stacks of substitutions, each of shape (..., d, d), give the stack of the p(U).
+    Each term's word product extends the products of the prefix it shares with
+    the previous term's word, one letter at a time (the matmuls of
+    :func:`eval_word`), so at most deg p + 1 products are held.  The terms are
+    added in ``p.terms`` order, each by one multiply on the operand shapes
+    ``np.kron`` builds, so p(U) has the bits of the ``np.kron`` sum.
     """
     if len(unitaries) != p.ctx.m:
         raise ValueError(f"need {p.ctx.m} unitaries, got {len(unitaries)}")
@@ -181,11 +186,23 @@ def eval_unitaries(p: NcPolynomial, unitaries: Sequence[np.ndarray]) -> np.ndarr
         ok = U.ndim >= 2 and U.shape == shape and shape[-2] == shape[-1] and np.isfinite(U).all()
         if not ok or np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(shape[-1])).max(initial=0.0) > DATA_RTOL:
             raise ValueError(f"substitution {i + 1} is not unitary within {DATA_RTOL}")
-    d = shape[-1]
-    out = np.zeros((*shape[:-2], p.c * d, p.c * d), dtype=complex)
+    c, d, S = p.c, shape[-1], int(np.prod(shape[:-2], dtype=int))
+    letters = {}
+    for i, U in enumerate(Us, 1):
+        letters[i], letters[-i] = U, U.conj().swapaxes(-1, -2)
+    path, prev = [np.eye(d, dtype=complex)], ()  # path[n]: the product of prev[:n]
+    out = np.zeros((1, S, c, d, c, d), dtype=complex)
     for w, A in p.terms.items():
-        out += np.kron(A, eval_word(Us, w))
-    return out
+        n = 0
+        while n < min(len(w), len(prev)) and w[n] == prev[n]:
+            n += 1
+        del path[n + 1 :]
+        for x in w[n:]:
+            path.append(path[-1] @ letters[x])
+        prev = w
+        W = np.ascontiguousarray(np.broadcast_to(path[-1], shape))
+        out += A.reshape(1, 1, c, 1, c, 1) * W.reshape(1, S, 1, d, 1, d)
+    return out.reshape(*shape[:-2], c * d, c * d)
 
 
 #: Cap on c * d_max in positivity sampling, to keep each sampled p(U) desk-scale.
@@ -450,9 +467,10 @@ def factor_sos(
     factor is returned when its residual is at most ``tol``.  Then the search
     reads the separating witness of :meth:`_GramProblem.separating_witness`
     and, when it proves p not positive, returns an :class:`InfeasibleReport`
-    carrying it at once; otherwise, when the affine gap is at most
-    max(100 tol, 1e-2 max |A_x|), and up to 12 times in all, a Gauss-Newton
-    solve is attempted on low-rank factors seeded from the PSD iterate.
+    carrying it at once; otherwise, at the first check and then whenever the
+    affine gap is at most half the gap of the last attempt, up to 12 times in
+    all, a Gauss-Newton solve is attempted on low-rank factors seeded from the
+    PSD iterate.
     Success returns a certificate whose Gram matrix is PSD by construction
     and whose coefficient residual is at most ``tol``; exhaustion returns
     a report with no witness, which is NOT a proof of non-positivity.
@@ -471,12 +489,12 @@ def factor_sos(
         raise ValueError("sum-of-squares factorization needs a Hermitian polynomial")
     c = p.c
     prob = _GramProblem(p)
-    scale = max(1.0, float(np.abs(prob.targets).max(initial=0.0)))
     X = prob.affine_project(np.zeros((prob.size, prob.size), dtype=complex))
     correction = np.zeros_like(X)
     ladder = sorted({min(R, prob.size) for R in (c, 2 * c, 2 * c + 1, 3 * c + 1)})
     ladder = [R for R in ladder if 4 * prob.targets.size * R * prob.size <= JACOBIAN_ENTRY_CAP]
     polish_budget = 12 if ladder else 0
+    polished_gap = np.inf
     for it in range(1, max_iter + 1):
         Z = X + correction
         Y = _psd_clip(Z)
@@ -494,8 +512,9 @@ def factor_sos(
             found = prob.separating_witness(Y)
             if found is not None:
                 break
-            if polish_budget > 0 and affine_gap <= max(100 * tol, 1e-2 * scale):
+            if polish_budget > 0 and affine_gap <= polished_gap / 2:
                 polish_budget -= 1
+                polished_gap = affine_gap
                 w, V = np.linalg.eigh(Y)
                 for R in ladder:
                     seed = np.sqrt(np.clip(w[-R:], 0.0, None))[:, None] * V[:, -R:].conj().T

@@ -220,7 +220,12 @@ def test_slot_map_sums_like_the_scatter(m, c, degree, seed):
 
 
 @kernel_property
-@given(**polynomials, d=st.integers(1, 3), stack=st.integers(1, 4))
+@example(m=2, c=2, degree=3, seed=0, d=2, stack=3)  # words share prefixes of length 2
+@given(
+    **{**polynomials, "degree": st.sampled_from([1, 2, 3])},
+    d=st.integers(1, 3),
+    stack=st.integers(1, 4),
+)
 def test_stacked_evaluation_equals_the_kron_loop(m, c, degree, seed, d, stack):
     rng = np.random.default_rng(seed)
     p = random_poly(GroupContext(m), c, degree, rng)
@@ -287,6 +292,20 @@ def test_factor_planted():
         assert isinstance(cert, SosCertificate)
         assert cert.residual <= 1e-6
         assert cert.iterations <= 20_000
+
+
+def test_planted_squares_certify_at_the_first_gap_check():
+    # the polish runs at the first gap check, so each of acceptance_10's twenty
+    # planted squares (seeds 3000-3019, c = 1 and 2 in turn) certifies there
+    for seed in range(20):
+        rng = np.random.default_rng(3000 + seed)
+        c = 1 if seed % 2 == 0 else 2
+        q0 = NcPolynomial(
+            CTX2, c, {w: rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)) for w in ball(CTX2, 1)}
+        )
+        cert = factor_sos(q0.adjoint() * q0, tol=1e-6)
+        assert isinstance(cert, SosCertificate), f"seed {seed}: {cert}"
+        assert cert.iterations == 25, f"seed {seed}"
 
 
 def test_polish_survives_a_failed_least_squares_solve():
