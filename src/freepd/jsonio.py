@@ -3,7 +3,9 @@
 Complex numbers are stored as [re, im] pairs and complex matrices as
 nested lists of those pairs.  Floats round-trip exactly (shortest-repr
 formatting), so a value written and re-read is bit-identical, and the
-same document always serializes to the same bytes.
+same document always serializes to the same bytes: the text of
+``json.JSONEncoder(indent=1)``, which :func:`_canonical` writes with one
+template per matrix shape and indent.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ class SchemaError(ValueError):
 
 
 def matrix_to_json(A: np.ndarray) -> list:
-    M = np.asarray(A, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    M = np.ascontiguousarray(A, dtype=complex)
+    return M.view(float).reshape(*M.shape, 2).tolist()
 
 
 def _finite_number(x) -> bool:
@@ -86,9 +88,107 @@ def entries_from_json(doc: dict, key: str, m: int, shape=None, add: bool = False
     return out
 
 
+def _matrix(rows: list, level: int, templates: dict) -> str | None:
+    """The text of a list of rows of [re, im] floats, from its template; None for any other list.
+
+    ``templates`` holds the text of each matrix shape and indent met so far,
+    with ``%s`` for each number.  A non-float number does not fit a template,
+    and neither does a non-finite one: ``float.__repr__`` spells it ``inf`` or
+    ``nan``, the encoder ``Infinity`` or ``NaN``, and no finite float's repr
+    holds an ``n``.
+    """
+    n, k = len(rows), len(rows[0])
+    if not all(type(row) is list and len(row) == k for row in rows):
+        return None
+    if not all(type(p) is list and len(p) == 2 for row in rows for p in row):
+        return None
+    template = templates.get((n, k, level))
+    if template is None:
+        pad = ["\n" + " " * (level + i) for i in range(4)]
+        pair = f"[{pad[3]}%s,{pad[3]}%s{pad[2]}]"
+        row = f"[{pad[2]}{(',' + pad[2]).join([pair] * k)}{pad[1]}]"
+        template = templates[n, k, level] = f"[{pad[1]}{(',' + pad[1]).join([row] * n)}{pad[0]}]"
+    try:
+        text = template % tuple(map(float.__repr__, [x for row in rows for p in row for x in p]))
+    except TypeError:
+        return None
+    return None if "n" in text else text
+
+
+def _leaf(o, level: int, templates: dict) -> str | None:
+    """The whole text of ``o`` at indent ``level``; None for a list or an object to walk.
+
+    A list of ints and a matrix are written at once, and so are a string, a
+    number and an empty list or object; anything rarer (``null``, booleans,
+    non-finite floats, tuples, keys that are not strings) goes to the encoder
+    itself, its lines moved right by ``level`` (no JSON string holds a raw
+    newline).
+    """
+    kind = type(o)
+    if kind is list and o:
+        head = o[0]
+        if type(head) is int:
+            if all(type(x) is int for x in o):
+                pad = "\n" + " " * (level + 1)
+                return f"[{pad}{(',' + pad).join(map(int.__repr__, o))}\n{' ' * level}]"
+        elif type(head) is list and head and type(head[0]) is list:
+            return _matrix(o, level, templates)
+        return None
+    if kind is dict and o and all(type(key) is str for key in o):
+        return None
+    if kind is str:
+        return json.encoder.encode_basestring_ascii(o)
+    if kind is int:
+        return int.__repr__(o)
+    if kind is float and abs(o) <= sys.float_info.max:
+        return float.__repr__(o)
+    if kind in (list, dict) and not o:
+        return "[]" if kind is list else "{}"
+    return json.JSONEncoder(indent=1).encode(o).replace("\n", "\n" + " " * level)
+
+
+def _chunks(o, level: int, depth: int, templates: dict):
+    """The text of a list or object that :func:`_leaf` does not write, in chunks.
+
+    A chunk is the opening or a separator with the next item, and then the
+    close.  An item that is such a list or object itself is streamed the same
+    way ``depth`` levels down, and below that written whole.
+    """
+    pad = "\n" + " " * (level + 1)
+    if isinstance(o, dict):
+        key = json.encoder.encode_basestring_ascii
+        sep, close, items = "{" + pad, "}", ((f"{key(k)}: ", value) for k, value in o.items())
+    else:
+        sep, close, items = "[" + pad, "]", (("", value) for value in o)
+    for head, value in items:
+        text = _leaf(value, level + 1, templates)
+        if text is not None:
+            yield f"{sep}{head}{text}"
+        elif depth:
+            yield sep + head
+            yield from _chunks(value, level + 1, depth - 1, templates)
+        else:
+            yield f"{sep}{head}{''.join(_chunks(value, level + 1, 0, templates))}"
+        sep = "," + pad
+    yield f"\n{' ' * level}{close}"
+
+
 def _canonical(doc: dict):
-    """A document's canonical text, chunk by chunk: stable key order, newline-terminated."""
-    yield from json.JSONEncoder(indent=1).iterencode(doc)
+    """A document's canonical text, chunk by chunk: newline-terminated, keys in document order.
+
+    The text is ``json.JSONEncoder(indent=1)``'s, byte for byte.  Matrices
+    of [re, im] pairs are filled into one template per shape and indent,
+    built once per document, lists of ints are joined at once, and the rest
+    is walked as the encoder walks it.  The chunks are the items of the
+    document and of its lists (a trace's steps, a function's entries), each
+    written whole.
+    """
+    templates: dict[tuple[int, int, int], str] = {}
+    text = _leaf(doc, 0, templates)
+    if text is None:
+        yield from _chunks(doc, 0, 1, templates)
+    else:
+        yield text
     yield "\n"
 
 
@@ -97,9 +197,10 @@ def dumps(doc: dict) -> str:
     return "".join(_canonical(doc))
 
 
-#: Encoder chunks joined into each write of :func:`dump_path`: a write per chunk
-#: costs about an eighth of a file's time, and a batch holds tens of KB at most.
-_WRITE_BATCH = 1024
+#: Chunks of the canonical text joined into each write of :func:`dump_path`: a
+#: chunk is one item of a document's list (a step, an entry), so a batch holds
+#: tens of KB at most.
+_WRITE_BATCH = 16
 
 
 def dump_path(path, doc: dict):

@@ -22,11 +22,12 @@ by a Gauss-Newton solve on a low-rank Gram factor seeded from the Dykstra
 iterate (alternating projections alone crawl when the feasible set
 touches the boundary of the cone, which is the generic situation here).
 A returned certificate carries its own coefficient residual.  At every
-25-iteration gap check the search also reads a separating function: the
-difference between the PSD iterate and its affine projection is the Gram
-matrix of a function on S_2h, and shifted at e to be PSD (with a margin
-for the eigenvalue rounding) it is positive definite; when it pairs with
-p below minus the rounding bound of that sum, p is not positive, and the
+gap check (at iteration 1, then every 25 iterations and at the last) the
+search also reads a separating function: the difference between the PSD
+iterate and its affine projection is the Gram matrix of a function on
+S_2h, and shifted at e to be PSD (with a margin for the eigenvalue
+rounding) it is positive definite; when it pairs with p below minus the
+rounding bound of that sum, p is not positive, and the
 :class:`InfeasibleReport` carries the witness.  A report that exhausted
 the iteration budget carries none and is not a disproof of positivity.
 """
@@ -461,16 +462,18 @@ def factor_sos(
 
     Dykstra's alternating projections run between the PSD cone and the
     affine set of Gram matrices with the right coefficient sums, with a
-    gap check every 25 iterations and at the last.  At a check where both
-    gaps are at most tol / 10, the PSD iterate is factored by
-    :func:`~freepd.linalg.gram_factor` (rank cut ``RANK_EPS``), and the
-    factor is returned when its residual is at most ``tol``.  Then the search
+    gap check at iteration 1, then every 25 iterations and at the last.
+    At a check where both gaps are at most tol / 10, the PSD iterate is
+    factored by :func:`~freepd.linalg.gram_factor` (rank cut ``RANK_EPS``),
+    and the factor is returned when its residual is at most ``tol``.  Then the search
     reads the separating witness of :meth:`_GramProblem.separating_witness`
     and, when it proves p not positive, returns an :class:`InfeasibleReport`
     carrying it at once; otherwise, at the first check and then whenever the
     affine gap is at most half the gap of the last attempt, up to 12 times in
     all, a Gauss-Newton solve is attempted on low-rank factors seeded from the
-    PSD iterate.
+    PSD iterate.  The first check often settles the search: a planted square
+    is certified there by its polish, a linear polynomial that is not positive
+    is stopped there by its witness.
     Success returns a certificate whose Gram matrix is PSD by construction
     and whose coefficient residual is at most ``tol``; exhaustion returns
     a report with no witness, which is NOT a proof of non-positivity.
@@ -502,7 +505,7 @@ def factor_sos(
         X = prob.affine_project(Y)
         last = it == max_iter
         # the last iteration is a gap check, so the report below reads this one's figures
-        if it % 25 == 0 or last:
+        if it == 1 or it % 25 == 0 or last:
             affine_gap = prob.affine_gap(Y)
             psd_gap = max(0.0, -float(np.linalg.eigvalsh(X).min()))
             if affine_gap <= tol / 10 and psd_gap <= tol / 10:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from freepd import jsonio
 from freepd.extend import (
+    ExtensionStep,
+    ExtensionTrace,
     extend_to_ball,
     oracle_from_params,
     params_from_json,
@@ -20,9 +22,9 @@ from freepd.ncpoly import (
     certificate_to_json,
     ncpolynomial_from_json,
 )
-from freepd.pdfun import pdfunction_from_json
+from freepd.pdfun import BallDomain, PdFunction, pdfunction_from_json
 from freepd.sampling import random_gamma_oracle, random_pd_function
-from freepd.words import GroupContext, ball, default_letter_order
+from freepd.words import ClassCursor, GroupContext, ball, default_letter_order, reduce_word
 
 
 def reserialized(doc: dict, parse_and_dump) -> tuple[str, str]:
@@ -77,6 +79,90 @@ def test_every_schema_reserializes_to_the_same_bytes(ctx, k, seed):
     for doc, parse_and_dump in cases:
         first, again = reserialized(doc, parse_and_dump)
         assert again == first, doc["schema"]
+
+
+def reference_text(doc) -> str:
+    """The canonical text as the standard library's encoder writes it, whole."""
+    return json.JSONEncoder(indent=1).encode(doc) + "\n"
+
+
+#: Numbers whose spelling is easy to get wrong: signed zeros, the least
+#: subnormal, the edges of the float range, and any finite float between.
+NUMBERS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def matrices(draw, rows: int, cols: int) -> np.ndarray:
+    flat = draw(st.lists(NUMBERS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(flat, dtype=float).reshape(rows, cols, 2).view(complex)[..., 0]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_the_writer_writes_the_standard_encoders_text(data):
+    # documents of every schema, with k = 1-3, empty defects (0 x 0, k x 0, 0 x k),
+    # long words and the numbers above, written by the template writer and by
+    # json.JSONEncoder(indent=1): the same text, byte for byte
+    m, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    ctx = GroupContext(m, data.draw(st.permutations(default_letter_order(m))))
+    words = st.lists(st.sampled_from(default_letter_order(m)), max_size=40).map(reduce_word)
+
+    def block(rows, cols):
+        return data.draw(matrices(rows, cols))
+
+    def defect():
+        return block(data.draw(st.integers(0, k)), data.draw(st.integers(0, k)))
+
+    n = data.draw(st.integers(0, 2))
+    values = {w: block(k, k) for w in BallDomain(n).class_reps(ctx)}
+    values[()] = np.eye(k)
+    cursors = {ClassCursor(w, ctx) for w in data.draw(st.lists(words, min_size=1, max_size=4))}
+    steps = tuple(
+        ExtensionStep(cur, tuple(data.draw(st.lists(words, max_size=6))), block(k, k), defect(), block(k, k))
+        for cur in sorted(cursors)
+    )
+    index = data.draw(st.lists(words, min_size=1, max_size=4, unique=True))
+    rank = data.draw(st.integers(0, 3))
+    cert = SosCertificate(
+        index=tuple(index),
+        m=m,
+        c=k,
+        gram=block(len(index) * k, len(index) * k),
+        factors={w: block(rank, k) for w in index},
+        residual=data.draw(NUMBERS),
+        iterations=data.draw(st.integers(1, 20_000)),
+    )
+    docs = [
+        PdFunction(ctx, k, BallDomain(n), values).to_json_dict(),
+        params_to_json(ctx, k, 0, 40, {cur: defect() for cur in cursors}),
+        ExtensionTrace(ctx, k, 0, steps).to_json_dict(),
+        NcPolynomial(ctx, k, {w: block(k, k) for w in data.draw(st.lists(words, max_size=4))}).to_json_dict(),
+        certificate_to_json(cert),
+    ]
+    assert sorted(doc["schema"] for doc in docs) == sorted(jsonio._HEADERS)
+    for doc in docs:
+        assert jsonio.dumps(doc) == reference_text(doc), doc["schema"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"value": [[[1, 2.0]]]},  # an int where the template wants a float
+        {"value": [[[True, 2.0]]]},
+        {"value": [[[float("inf"), -0.0]], [[float("nan"), 1.0]]]},
+        {"value": [[[1.0, 2.0, 3.0]]]},  # not a pair
+        {"value": [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]]},  # ragged rows
+        {"value": [[[1.0, 2.0]], []]},
+        {"value": [[(1.0, 2.0)]], "word": (1, -2)},  # tuples are lists to the encoder
+        {"value": [[[]]], "word": [1, True], "empty": [[], {}]},
+        {"value": [[[[1.0, 2.0]]]], "names": [[["a", "b"]]]},
+        {"key \u00e9\"": [None, False, 10**30, -1e308, 5e-324], 1: {2.5: 0, None: [], True: -0.0}},
+    ],
+)
+def test_what_no_template_fits_is_written_as_the_encoder_writes_it(doc):
+    assert jsonio.dumps(doc) == reference_text(doc)
 
 
 def with_first_key_repeated(obj: dict) -> str:

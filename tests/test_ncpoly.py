@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freepd import jsonio, ncpoly
+from freepd.linalg import DATA_RTOL
 from freepd.ncpoly import (
     InfeasibleReport,
     NcContextError,
@@ -93,6 +94,24 @@ def test_hermitian_test_is_relative_to_the_coefficients():
         assert scalar_poly(CTX1, {E: 2 * scale, (1,): scale, (-1,): near}).is_hermitian()
         far = scale * (1 + 1e-6)
         assert not scalar_poly(CTX1, {E: 2 * scale, (1,): scale, (-1,): far}).is_hermitian()
+
+
+def test_hermitian_test_compares_every_block_with_its_partner():
+    # each block is compared with the adjoint of its partner at s^-1, a zero
+    # block where p has no term: one entry moved just past DATA_RTOL times the
+    # coefficient scale breaks the symmetry, and one moved just short of it does not
+    q = random_poly(CTX2, 2, 1, np.random.default_rng(11))
+    p = q.adjoint() * q
+    w = (1, -2)
+    assert w in p.terms and inverse(w) in p.terms
+    bound = DATA_RTOL * max(1.0, max(np.abs(B).max() for B in p.terms.values()))
+    for factor, hermitian in ((0.99, True), (1.01, False)):
+        nudge = np.zeros((2, 2))
+        nudge[0, 1] = factor * bound
+        moved = {**p.terms, inverse(w): p.terms[inverse(w)] + nudge}
+        assert NcPolynomial(CTX2, 2, moved).is_hermitian() is hermitian
+        unpaired = {**p.terms, (1, 1, 1): nudge}
+        assert NcPolynomial(CTX2, 2, unpaired).is_hermitian() is hermitian
 
 
 def test_eval_examples():
@@ -295,8 +314,8 @@ def test_factor_planted():
 
 
 def test_planted_squares_certify_at_the_first_gap_check():
-    # the polish runs at the first gap check, so each of acceptance_10's twenty
-    # planted squares (seeds 3000-3019, c = 1 and 2 in turn) certifies there
+    # the first gap check runs at iteration 1 and polishes, so each of acceptance_10's
+    # twenty planted squares (seeds 3000-3019, c = 1 and 2 in turn) certifies there
     for seed in range(20):
         rng = np.random.default_rng(3000 + seed)
         c = 1 if seed % 2 == 0 else 2
@@ -305,7 +324,7 @@ def test_planted_squares_certify_at_the_first_gap_check():
         )
         cert = factor_sos(q0.adjoint() * q0, tol=1e-6)
         assert isinstance(cert, SosCertificate), f"seed {seed}: {cert}"
-        assert cert.iterations == 25, f"seed {seed}"
+        assert cert.iterations == 1, f"seed {seed}"
 
 
 def test_polish_survives_a_failed_least_squares_solve():
@@ -464,8 +483,8 @@ def test_factor_infeasible_report():
     report = factor_sos(indef, tol=1e-8, max_iter=1500)
     assert isinstance(report, InfeasibleReport)
     assert report.gap > 1e-3
-    # the first gap check finds a positive definite function separating p
-    assert report.iterations == 25
+    # the first gap check, at iteration 1, finds a positive definite function separating p
+    assert report.iterations == 1
     assert_separating_witness(indef, report)
     # cross-check: sampling independently exhibits negativity
     assert sample_positivity(indef, trials=200, d_max=3, seed=2) <= -0.5
