@@ -15,8 +15,9 @@ A user tolerance must be positive and finite (:func:`check_positive_finite`).
 Every PSD test has one floor, :meth:`Tolerance.psd_floor`, at the scale 1
 or at a completion window's.  Bounds derived from eps and a size stay
 where they are computed: ``completion.analyze``'s rank cut
-|E| * eps * max(w) and the two margins of
-``ncpoly._GramProblem.separating_witness``.
+|E| * eps * max(w), the two margins of
+``ncpoly._GramProblem.separating_witness`` and the CGLS stop
+||J^T r||^2 <= eps * ||J^T r_0||^2 of ``ncpoly._gauss_newton_step``.
 """
 
 from __future__ import annotations

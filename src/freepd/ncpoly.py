@@ -21,6 +21,7 @@ projections between the PSD cone and the affine constraint set, polished
 by a Gauss-Newton solve on a low-rank Gram factor seeded from the Dykstra
 iterate (alternating projections alone crawl when the feasible set
 touches the boundary of the cone, which is the generic situation here).
+Each Gauss-Newton step is a CGLS solve that forms no Jacobian matrix.
 A returned certificate carries its own coefficient residual.  At every
 gap check (at iteration 1, then every 25 iterations and at the last) the
 search also reads a separating function: the difference between the PSD
@@ -212,10 +213,6 @@ SAMPLE_DIM_CAP = 1024
 #: Matrix entries drawn and evaluated at once by positivity sampling.
 _SAMPLE_CHUNK = 1 << 18
 
-#: Cap on the float64 entries of one Gauss-Newton Jacobian (128 MiB); a
-#: polish rank whose Jacobian would pass it is skipped.
-JACOBIAN_ENTRY_CAP = 1 << 24
-
 
 def sample_positivity(
     p: NcPolynomial, trials: int = 200, d_max: int = 3, seed: int = 0
@@ -320,6 +317,7 @@ class _GramProblem:
         table = words.diffs(ids, ids)
         entry = (table[:, None, :, None] * c + ar[:, None, None]) * c + ar
         self.entry = entry.reshape(N * c, N * c)
+        self.parts = (2 * self.entry.reshape(-1, 1) + np.arange(2)).reshape(-1)
         targets = np.zeros((words.size, c, c), dtype=complex)
         for w, A in p.terms.items():
             targets[words.ids[w]] = A
@@ -330,29 +328,30 @@ class _GramProblem:
         self.size = N * c
 
     def class_sums(self, G: np.ndarray) -> np.ndarray:
-        """The flat class sums of G, each slot added up in row-major order of G."""
-        flat, n = self.entry.reshape(-1), self.targets.size
-        sums = np.empty(n, dtype=complex)
-        sums.real = np.bincount(flat, G.real.reshape(-1), n)
-        sums.imag = np.bincount(flat, G.imag.reshape(-1), n)
-        return sums
+        """The flat class sums of a C-ordered complex G, each slot added up in row-major
+        order of G, by one ``np.bincount`` over its interleaved real view (``parts``)."""
+        return np.bincount(self.parts, G.view(float).reshape(-1), 2 * self.targets.size).view(complex)
+
+    def residual(self, G: np.ndarray) -> np.ndarray:
+        """The class sums of G minus the targets, flat over the slots."""
+        return self.class_sums(G) - self.targets
 
     def affine_project(self, G: np.ndarray) -> np.ndarray:
-        out = G + ((self.targets - self.class_sums(G)) / self.counts)[self.entry]
+        out = G - (self.residual(G) / self.counts)[self.entry]
         return (out + out.conj().T) / 2.0
 
-    def separating_witness(self, Y: np.ndarray) -> tuple[np.ndarray, float] | None:
+    def separating_witness(self, F: np.ndarray) -> tuple[np.ndarray, float] | None:
         """A PSD Gram matrix of a function phi' on S_2h with <p, phi'> < 0, or None.
 
-        ``affine_project(Y)`` subtracts one correction per slot, so Y minus it
-        is the Gram matrix D of phi = (class sums of Y - targets) / counts,
-        taken Hermitian.  Adding tau = max(0, -lambda_min(D)) plus the margin
-        size * eps * ||D|| (the eigenvalue rounding) at e makes it PSD; the
-        pairing <p, phi'> = Re sum conj(phi') targets must then lie below
-        -(slots + 2) * eps * sum |conj(phi') targets|, its rounding bound.
+        F is the :meth:`residual` of the PSD iterate Y.  ``affine_project(Y)``
+        subtracts one correction per slot, so Y minus it is the Gram matrix D
+        of phi = F / counts, taken Hermitian.  Adding tau = max(0, -lambda_min(D))
+        plus the margin size * eps * ||D|| (the eigenvalue rounding) at e makes
+        it PSD; the pairing <p, phi'> = Re sum conj(phi') targets must then lie
+        below -(slots + 2) * eps * sum |conj(phi') targets|, its rounding bound.
         """
         c, eps = self.c, np.finfo(float).eps
-        phi = ((self.class_sums(Y) - self.targets) / self.counts).reshape(-1, c, c)
+        phi = (F / self.counts).reshape(-1, c, c)
         phi = (phi + phi[self.inv].conj().swapaxes(1, 2)) / 2.0
         w = np.linalg.eigvalsh(phi.reshape(-1)[self.entry])
         norm = max(-w[0], w[-1], 0.0)
@@ -364,38 +363,25 @@ class _GramProblem:
             return None
         return flat[self.entry], separation
 
-    def affine_gap(self, G: np.ndarray) -> float:
-        diff = (self.class_sums(G) - self.targets).reshape(-1, self.c, self.c)
-        return float(np.linalg.norm(diff, 2, axis=(1, 2)).max())
+    def affine_gap(self, F: np.ndarray) -> float:
+        """The largest spectral norm of one class's block of the :meth:`residual` F."""
+        return float(np.linalg.norm(F.reshape(-1, self.c, self.c), 2, axis=(1, 2)).max())
 
     def stacked_residual(self, B: np.ndarray) -> tuple[np.ndarray, float]:
-        """Class sums of B* B minus the targets, and their norm stacked over all classes."""
-        diff = self.class_sums(B.conj().T @ B) - self.targets
-        return diff, float(np.sqrt((np.abs(diff) ** 2).sum()))
+        """The residual of B* B, and its norm stacked over all classes."""
+        F = self.residual(B.conj().T @ B)
+        return F, float(np.sqrt(np.vdot(F, F).real))
 
-    def jacobian(self, B: np.ndarray) -> np.ndarray:
-        """Real Jacobian of the class sums of B* B in (Re B, Im B), rows interleaved re/im.
+    def jac_product(self, B: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """J V: the class sums of B* V + V* B, the derivative of those of B* B along V."""
+        M = B.conj().T @ V
+        return self.class_sums(M + M.conj().T)
 
-        Entry (i, j) of d(B* B) sums conj(dB[r, i]) B[r, j] + conj(B[r, i]) dB[r, j]
-        over the factor rows r; each product scatters the real 2 x 2 block of
-        w -> z conj(w) (sign 1) or w -> z w (sign -1).  A Gram index and a
-        class fix the rest of the pair, so each entry of J gets at most one
-        addend per product, and their order cannot change its bits.
-        """
-        R, n, neq = B.shape[0], self.size, self.targets.size
-        eqs = self.entry[..., None]
-        J = np.zeros((neq, 2, 2, R * n))
-
-        def scatter(z, gram_index, sign):
-            var = np.arange(R) * n + gram_index[..., None]
-            re_row = np.stack([z.real, sign * z.imag], -1)
-            im_row = np.stack([z.imag, -sign * z.real], -1)
-            np.add.at(J, (eqs, slice(None), slice(None), var), np.stack([re_row, im_row], -2))
-
-        rows, cols = np.indices((n, n))
-        scatter(B.T[cols], rows, 1.0)
-        scatter(B.T[rows].conj(), cols, -1.0)
-        return J.reshape(2 * neq, -1)
+    def jac_adjoint(self, B: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """J^T rho = B (R + R*), R = rho[entry]: the adjoint of :meth:`jac_product`
+        under the real inner product Re sum conj(x) y, as Re tr(R* B* V) = <B R, V>."""
+        R = rho[self.entry]
+        return B @ (R + R.conj().T)
 
 
 def _gauss_newton_polish(prob: _GramProblem, B0: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
@@ -404,34 +390,45 @@ def _gauss_newton_polish(prob: _GramProblem, B0: np.ndarray, tol: float) -> tupl
     At most 40 steps of damped Gauss-Newton on B (real and imaginary parts
     as unknowns); returns the improved factor and its stacked residual.
     G = B* B stays PSD by construction, so a small enough residual
-    certifies success.  A least-squares solve that does not converge ends
-    the attempt with the factor reached so far.
+    certifies success.  Each step solves J dB = -F in least squares by CGLS
+    (Hestenes-Stiefel) on :meth:`_GramProblem.jac_product` and its adjoint,
+    with the unknowns scaled by the norms of B's rows (a zero row stays
+    unscaled): at most 200 CG steps, to ||J^T r||^2 <= eps ||J^T F||^2 or a
+    direction P with J P = 0.  A step that 25 halvings cannot make decrease
+    the residual ends the attempt with the factor reached so far.
     """
     B = B0.copy()
     F, res = prob.stacked_residual(B)
     for _ in range(40):
         if res <= tol:
             break
-        J = prob.jacobian(B)
-        rhs = np.empty(J.shape[0])
-        rhs[0::2] = F.real.reshape(-1)
-        rhs[1::2] = F.imag.reshape(-1)
-        try:
-            delta, *_ = np.linalg.lstsq(J, -rhs, rcond=None)
-        except np.linalg.LinAlgError:  # the SVD did not converge: this attempt ends here
-            break
-        dB = delta[: B.size].reshape(B.shape) + 1j * delta[B.size :].reshape(B.shape)
-        step = 1.0
-        improved = False
-        for _ in range(25):
+        norms = np.sqrt((np.abs(B) ** 2).sum(axis=1, keepdims=True))
+        scale = np.where(norms > 0.0, norms, 1.0)
+        Bs, X, r = B / scale, np.zeros_like(B), -F
+        P = s = prob.jac_adjoint(Bs, r)
+        gamma = np.vdot(s, s).real
+        stop = np.finfo(float).eps * gamma
+        for _ in range(200):
+            if gamma <= stop:
+                break
+            q = prob.jac_product(Bs, P)
+            delta = np.vdot(q, q).real
+            if delta == 0.0:
+                break
+            alpha = gamma / delta
+            X += alpha * P
+            r = r - alpha * q
+            s = prob.jac_adjoint(Bs, r)
+            gamma, last = np.vdot(s, s).real, gamma
+            P = s + (gamma / last) * P
+        dB = X / scale
+        for step in 0.5 ** np.arange(25):
             Bn = B + step * dB
             Fn, rn = prob.stacked_residual(Bn)
             if rn < res:
                 B, F, res = Bn, Fn, rn
-                improved = True
                 break
-            step *= 0.5
-        if not improved:
+        else:
             break
     return B, res
 
@@ -448,7 +445,7 @@ def _certificate(prob, m, B, iterations) -> SosCertificate:
         c=c,
         gram=gram,
         factors=factors,
-        residual=prob.affine_gap(gram),
+        residual=prob.affine_gap(prob.residual(gram)),
         iterations=iterations,
     )
 
@@ -481,9 +478,9 @@ def factor_sos(
     The Gram index is S_h, h = ceil(deg p / 2), and its differences
     number S_2h, so a polynomial whose S_2h passes the ball cap raises
     :class:`~freepd.words.BallSizeError` before any iteration: F_2 from
-    degree 11, F_3 and F_4 from degree 7, F_5 from degree 5.  A polish
-    rank whose Jacobian would hold more than ``JACOBIAN_ENTRY_CAP``
-    entries is skipped.  ``tol`` must be positive and finite.
+    degree 11, F_3 and F_4 from degree 7, F_5 from degree 5.  Under it the
+    polish tries the ranks c, 2c, 2c + 1 and 3c + 1 (at most |S_h| c), each
+    in the memory of the slot map.  ``tol`` must be positive and finite.
     """
     check_positive_finite(tol, "tol")
     if max_iter < 1:
@@ -495,8 +492,7 @@ def factor_sos(
     X = prob.affine_project(np.zeros((prob.size, prob.size), dtype=complex))
     correction = np.zeros_like(X)
     ladder = sorted({min(R, prob.size) for R in (c, 2 * c, 2 * c + 1, 3 * c + 1)})
-    ladder = [R for R in ladder if 4 * prob.targets.size * R * prob.size <= JACOBIAN_ENTRY_CAP]
-    polish_budget = 12 if ladder else 0
+    polish_budget = 12
     polished_gap = np.inf
     for it in range(1, max_iter + 1):
         Z = X + correction
@@ -506,13 +502,14 @@ def factor_sos(
         last = it == max_iter
         # the last iteration is a gap check, so the report below reads this one's figures
         if it == 1 or it % 25 == 0 or last:
-            affine_gap = prob.affine_gap(Y)
+            F = prob.residual(Y)
+            affine_gap = prob.affine_gap(F)
             psd_gap = max(0.0, -float(np.linalg.eigvalsh(X).min()))
             if affine_gap <= tol / 10 and psd_gap <= tol / 10:
                 B = gram_factor(Y)
-                if prob.affine_gap(B.conj().T @ B) <= tol:
+                if prob.affine_gap(prob.residual(B.conj().T @ B)) <= tol:
                     return _certificate(prob, p.ctx.m, B, it)
-            found = prob.separating_witness(Y)
+            found = prob.separating_witness(F)
             if found is not None:
                 break
             if polish_budget > 0 and affine_gap <= polished_gap / 2:

@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -148,6 +149,35 @@ def test_sample_requires_hermitian():
         sample_positivity(scalar_poly(CTX1, {(1,): 1.0}), trials=5, d_max=2, seed=0)
 
 
+def dense_jacobian(prob, B):
+    """Real Jacobian of the class sums of B* B in (Re B, Im B), rows interleaved re/im.
+
+    Entry (i, j) of d(B* B) sums conj(dB[r, i]) B[r, j] + conj(B[r, i]) dB[r, j]
+    over the factor rows r; each product scatters the real 2 x 2 block of
+    w -> z conj(w) (sign 1) or w -> z w (sign -1) into the equation rows of
+    the slot map.
+    """
+    R, n, neq = B.shape[0], prob.size, prob.targets.size
+    eqs = prob.entry[..., None]
+    J = np.zeros((neq, 2, 2, R * n))
+
+    def scatter(z, gram_index, sign):
+        var = np.arange(R) * n + gram_index[..., None]
+        re_row = np.stack([z.real, sign * z.imag], -1)
+        im_row = np.stack([z.imag, -sign * z.real], -1)
+        np.add.at(J, (eqs, slice(None), slice(None), var), np.stack([re_row, im_row], -2))
+
+    rows, cols = np.indices((n, n))
+    scatter(B.T[cols], rows, 1.0)
+    scatter(B.T[rows].conj(), cols, -1.0)
+    return J.reshape(2 * neq, -1)
+
+
+def real_parts(z):
+    """A complex array as the real vector (Re z, Im z), the polish's unknowns."""
+    return np.concatenate([z.real.reshape(-1), z.imag.reshape(-1)])
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @example(group_degree=(1, 2), c=2, rank=5, seed=0)
 @given(
@@ -157,6 +187,8 @@ def test_sample_requires_hermitian():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_jacobian_is_the_linearized_class_sum(group_degree, c, rank, seed):
+    # the polish's two products are J v and J^T rho of the dense Jacobian, and
+    # adjoint to each other under the real inner product Re sum conj(x) y
     m, degree = group_degree
     ctx = GroupContext(m)
     rng = np.random.default_rng(seed)
@@ -164,12 +196,16 @@ def test_jacobian_is_the_linearized_class_sum(group_degree, c, rank, seed):
     shape = (rank, prob.size)
     B = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     dB = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    dF = prob.class_sums(B.conj().T @ dB + dB.conj().T @ B).reshape(-1)
-    expected = np.empty(2 * dF.size)
-    expected[0::2] = dF.real
-    expected[1::2] = dF.imag
-    got = prob.jacobian(B) @ np.concatenate([dB.real.reshape(-1), dB.imag.reshape(-1)])
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    rho = rng.normal(size=prob.targets.size) + 1j * rng.normal(size=prob.targets.size)
+    J = dense_jacobian(prob, B)
+    Jv = prob.jac_product(B, dB)
+    expected = J @ real_parts(dB)
+    assert np.abs(np.stack([Jv.real, Jv.imag], -1).reshape(-1) - expected).max() <= 1e-12 * np.abs(expected).max()
+    JTrho = prob.jac_adjoint(B, rho)
+    expected = J.T @ np.stack([rho.real, rho.imag], -1).reshape(-1)
+    assert np.abs(real_parts(JTrho) - expected).max() <= 1e-12 * np.abs(expected).max()
+    left, right = np.vdot(rho, Jv).real, np.vdot(dB, JTrho).real
+    assert abs(left - right) <= 1e-12 * np.linalg.norm(Jv) * np.linalg.norm(rho)
 
 
 kernel_property = settings(derandomize=True, max_examples=40, deadline=None)
@@ -327,48 +363,40 @@ def test_planted_squares_certify_at_the_first_gap_check():
         assert cert.iterations == 1, f"seed {seed}"
 
 
-def test_polish_survives_a_failed_least_squares_solve():
-    # a least-squares solve that does not converge ends its polish attempt
-    # and never escapes factor_sos; with c = 2 the search reaches the polish
+def test_polish_whose_products_vanish_returns_its_seed():
+    # at a zero factor both products vanish, so CG stops before its first
+    # division and the attempt returns its seed and residual
     q0 = random_poly(CTX2, 2, 1, np.random.default_rng(0))
-    p = q0.adjoint() * q0
-    calls = []
-
-    def no_convergence(*args, **kwargs):
-        calls.append(args[0].shape)
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-    with mock.patch.object(np.linalg, "lstsq", no_convergence):
-        result = factor_sos(p, tol=1e-6, max_iter=1000)
-    assert calls
-    assert isinstance(result, (SosCertificate, InfeasibleReport))
-    if isinstance(result, SosCertificate):
-        assert result.residual <= 1e-6
+    prob = _GramProblem(q0.adjoint() * q0)
+    seed = np.zeros((3, prob.size), dtype=complex)
+    with np.errstate(all="raise"):
+        B, res = ncpoly._gauss_newton_polish(prob, seed, 1e-7)
+    assert np.array_equal(B, seed)
+    assert res == prob.stacked_residual(seed)[1] > 0.0
 
 
-def test_polish_skips_a_jacobian_above_the_entry_cap():
-    # with no rung under the cap the polish never forms a Jacobian, and the
-    # projections run on to the iteration budget
-    q0 = random_poly(CTX2, 2, 1, np.random.default_rng(0))
-    p = q0.adjoint() * q0
-    calls = []
-    jacobian = _GramProblem.jacobian
-
-    def counted(prob, B):
-        calls.append(4 * prob.targets.size * B.shape[0] * prob.size)
-        return jacobian(prob, B)
-
-    with mock.patch.object(_GramProblem, "jacobian", counted):
-        factor_sos(p, tol=1e-6, max_iter=1000)
-        assert calls  # under the default cap this search polishes
-        cap = min(calls) - 1
-        calls.clear()
-        with mock.patch.object(ncpoly, "JACOBIAN_ENTRY_CAP", cap):
-            result = factor_sos(p, tol=1e-6, max_iter=1000)
-    assert not calls
-    assert isinstance(result, InfeasibleReport)
-    assert result.iterations == 1000
-    assert result.witness is None
+def test_polish_memory_stays_that_of_the_slot_map():
+    # F_2, degree 8, c = 1 at rank 4: a dense Jacobian would hold 2 * 13,121 x
+    # 2 * 4 * 161 float64 (270 MB); one matrix-free Gauss-Newton step from
+    # near the factor of a sum of four squares certifies it in under 8 MiB
+    rng = np.random.default_rng(8)
+    qs = [random_poly(CTX2, 1, 4, rng) for _ in range(4)]
+    p = qs[0].adjoint() * qs[0]
+    for q in qs[1:]:
+        p = p + q.adjoint() * q
+    prob = _GramProblem(p)
+    assert (prob.size, prob.targets.size) == (161, 13_121)
+    Q = np.vstack([np.hstack([q.coefficient(w) for w in prob.index]) for q in qs])
+    seed = Q + 1e-6 * rng.normal(size=Q.shape)
+    assert prob.stacked_residual(seed)[1] > 1e-4
+    tracemalloc.start()
+    try:
+        B, res = ncpoly._gauss_newton_polish(prob, seed, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res <= 1e-8
+    assert peak <= 8 << 20
 
 
 def diameter_n_square(ctx, n, c, rng):
