@@ -32,7 +32,6 @@ from .linalg import (
     gram_factor,
     is_psd,
     pinv,
-    psd_project,
 )
 from .completion import (
     CompletionError,

@@ -7,14 +7,12 @@ s^-1 t is at most nu; these graphs interpolate between the tree and its
 distance-n powers, and each new cutoff adds the translates of a single
 clique.  Chordality of the induced finite graphs is what makes the
 one-entry-at-a-time completion of Gram matrices sound; the tests check it
-with networkx on the graphs that :class:`EdgePredicate` defines.  Both
-completion windows read one common-neighbour mask over a :class:`WordIndex`:
-:func:`clique_C` cuts at the class of s_nu, :func:`sigma_set` at S_n.
+with networkx on these graphs.  Both completion windows read one
+common-neighbour mask over a :class:`WordIndex`: :func:`clique_C` cuts at
+the class of s_nu, :func:`sigma_set` at S_n.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from .words import (
     GroupContext,
     Word,
     WordIndex,
-    class_rep,
     common_beginning,
     inverse,
     mul,
@@ -45,24 +42,6 @@ def tree_median(x: Word, y: Word, z: Word) -> Word:
     u = mul(inverse(x), y)
     v = mul(inverse(x), z)
     return mul(x, common_beginning([u, v]))
-
-
-@dataclass(frozen=True)
-class EdgePredicate:
-    """Edge test for the graph with class cutoff ``cutoff``.
-
-    {s, t} is an edge iff s != t and the class of s^-1 t is at most the
-    cutoff.  Translation invariant by construction.
-    """
-
-    cutoff: ClassCursor
-
-    def __call__(self, s: Word, t: Word) -> bool:
-        if s == t:
-            return False
-        ctx = self.cutoff.ctx
-        diff = class_rep(mul(inverse(s), t), ctx)
-        return ctx.sort_key(diff) <= self.cutoff.key()
 
 
 def _common_neighbours(index: WordIndex, xs, cutoff: int, bound: int) -> np.ndarray:

@@ -4,15 +4,16 @@ Complex numbers are stored as [re, im] pairs and complex matrices as
 nested lists of those pairs.  Floats round-trip exactly (shortest-repr
 formatting), so a value written and re-read is bit-identical, and the
 same document always serializes to the same bytes: the text of
-``json.JSONEncoder(indent=1)``, which :func:`_canonical` writes with one
-template per matrix shape and indent.
+``json.JSONEncoder(indent=1)``, which one recursion, :func:`_text`, writes
+with one template per matrix shape and indent.  :func:`dump_path` writes it
+one top-level key, or one item of a top-level list, at a time.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,7 @@ def matrix_from_json(rows, shape: tuple[int, int] | None = None) -> np.ndarray:
         for p in row:
             if not (isinstance(p, list) and len(p) == 2 and all(map(_finite_number, p))):
                 raise SchemaError(f"malformed complex entry {p!r}")
-    M = np.array([[complex(float(re), float(im)) for re, im in row] for row in rows], dtype=complex)
-    M = M.reshape(len(rows), len(rows[0]) if rows else 0)
+    M = np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0, 2).view(complex)[..., 0]
     if shape is not None and M.shape != tuple(shape):
         raise SchemaError(f"matrix has shape {M.shape}, expected {shape}")
     return M
@@ -88,8 +88,8 @@ def entries_from_json(doc: dict, key: str, m: int, shape=None, add: bool = False
     return out
 
 
-def _matrix(rows: list, level: int, templates: dict) -> str | None:
-    """The text of a list of rows of [re, im] floats, from its template; None for any other list.
+def _matrix(rows: list, pad: str, templates: dict) -> str | None:
+    """The text after ``pad`` of a list of rows of [re, im] floats, from its template; else None.
 
     ``templates`` holds the text of each matrix shape and indent met so far,
     with ``%s`` for each number.  A non-float number does not fit a template,
@@ -102,12 +102,12 @@ def _matrix(rows: list, level: int, templates: dict) -> str | None:
         return None
     if not all(type(p) is list and len(p) == 2 for row in rows for p in row):
         return None
-    template = templates.get((n, k, level))
+    template = templates.get((n, k, pad))
     if template is None:
-        pad = ["\n" + " " * (level + i) for i in range(4)]
-        pair = f"[{pad[3]}%s,{pad[3]}%s{pad[2]}]"
-        row = f"[{pad[2]}{(',' + pad[2]).join([pair] * k)}{pad[1]}]"
-        template = templates[n, k, level] = f"[{pad[1]}{(',' + pad[1]).join([row] * n)}{pad[0]}]"
+        pad1, pad2, pad3 = pad + " ", pad + "  ", pad + "   "
+        pair = f"[{pad3}%s,{pad3}%s{pad2}]"
+        row = f"[{pad2}{(',' + pad2).join([pair] * k)}{pad1}]"
+        template = templates[n, k, pad] = f"[{pad1}{(',' + pad1).join([row] * n)}{pad}]"
     try:
         text = template % tuple(map(float.__repr__, [x for row in rows for p in row for x in p]))
     except TypeError:
@@ -115,92 +115,72 @@ def _matrix(rows: list, level: int, templates: dict) -> str | None:
     return None if "n" in text else text
 
 
-def _leaf(o, level: int, templates: dict) -> str | None:
-    """The whole text of ``o`` at indent ``level``; None for a list or an object to walk.
+def _text(o, pad: str, templates: dict) -> str:
+    """The text of ``o`` as ``json.JSONEncoder(indent=1)`` writes it after the newline and indent ``pad``.
 
-    A list of ints and a matrix are written at once, and so are a string, a
-    number and an empty list or object; anything rarer (``null``, booleans,
-    non-finite floats, tuples, keys that are not strings) goes to the encoder
-    itself, its lines moved right by ``level`` (no JSON string holds a raw
-    newline).
+    A matrix fills its template, a list of ints is joined at once and other
+    lists and objects are written item by item.  Anything rarer (``null``,
+    booleans, non-finite floats, tuples, keys that are not strings) goes to
+    the encoder itself, its lines moved right by ``pad`` (no JSON string
+    holds a raw newline).
     """
     kind = type(o)
-    if kind is list and o:
-        head = o[0]
-        if type(head) is int:
-            if all(type(x) is int for x in o):
-                pad = "\n" + " " * (level + 1)
-                return f"[{pad}{(',' + pad).join(map(int.__repr__, o))}\n{' ' * level}]"
-        elif type(head) is list and head and type(head[0]) is list:
-            return _matrix(o, level, templates)
-        return None
-    if kind is dict and o and all(type(key) is str for key in o):
-        return None
     if kind is str:
-        return json.encoder.encode_basestring_ascii(o)
+        return encode_basestring_ascii(o)
     if kind is int:
         return int.__repr__(o)
     if kind is float and abs(o) <= sys.float_info.max:
         return float.__repr__(o)
-    if kind in (list, dict) and not o:
-        return "[]" if kind is list else "{}"
-    return json.JSONEncoder(indent=1).encode(o).replace("\n", "\n" + " " * level)
-
-
-def _chunks(o, level: int, depth: int, templates: dict):
-    """The text of a list or object that :func:`_leaf` does not write, in chunks.
-
-    A chunk is the opening or a separator with the next item, and then the
-    close.  An item that is such a list or object itself is streamed the same
-    way ``depth`` levels down, and below that written whole.
-    """
-    pad = "\n" + " " * (level + 1)
-    if isinstance(o, dict):
-        key = json.encoder.encode_basestring_ascii
-        sep, close, items = "{" + pad, "}", ((f"{key(k)}: ", value) for k, value in o.items())
-    else:
-        sep, close, items = "[" + pad, "]", (("", value) for value in o)
-    for head, value in items:
-        text = _leaf(value, level + 1, templates)
-        if text is not None:
-            yield f"{sep}{head}{text}"
-        elif depth:
-            yield sep + head
-            yield from _chunks(value, level + 1, depth - 1, templates)
-        else:
-            yield f"{sep}{head}{''.join(_chunks(value, level + 1, 0, templates))}"
-        sep = "," + pad
-    yield f"\n{' ' * level}{close}"
+    if kind is list or kind is dict:
+        if not o:
+            return "[]" if kind is list else "{}"
+        inner = pad + " "
+        sep = "," + inner
+        if kind is list:
+            head = o[0]
+            if type(head) is int and all(type(x) is int for x in o):
+                return f"[{inner}{sep.join(map(int.__repr__, o))}{pad}]"
+            if type(head) is list and head and type(head[0]) is list:
+                text = _matrix(o, pad, templates)
+                if text is not None:
+                    return text
+            return f"[{inner}{sep.join([_text(x, inner, templates) for x in o])}{pad}]"
+        if all(type(key) is str for key in o):
+            items = [f"{encode_basestring_ascii(k)}: {_text(v, inner, templates)}" for k, v in o.items()]
+            return f"{{{inner}{sep.join(items)}{pad}}}"
+    return json.JSONEncoder(indent=1).encode(o).replace("\n", pad)
 
 
 def _canonical(doc: dict):
     """A document's canonical text, chunk by chunk: newline-terminated, keys in document order.
 
-    The text is ``json.JSONEncoder(indent=1)``'s, byte for byte.  Matrices
-    of [re, im] pairs are filled into one template per shape and indent,
-    built once per document, lists of ints are joined at once, and the rest
-    is walked as the encoder walks it.  The chunks are the items of the
-    document and of its lists (a trace's steps, a function's entries), each
-    written whole.
+    The text is ``json.JSONEncoder(indent=1)``'s, byte for byte, with one set
+    of matrix templates per document.  A chunk is one top-level key with its
+    value, or one item of a top-level list of objects (a trace's steps, a
+    function's entries).
     """
-    templates: dict[tuple[int, int, int], str] = {}
-    text = _leaf(doc, 0, templates)
-    if text is None:
-        yield from _chunks(doc, 0, 1, templates)
-    else:
-        yield text
-    yield "\n"
+    templates: dict[tuple[int, int, str], str] = {}
+    if not (doc and all(type(key) is str for key in doc)):
+        yield _text(doc, "\n", templates) + "\n"
+        return
+    sep = "{"
+    for key, value in doc.items():
+        head = f"{sep}\n {encode_basestring_ascii(key)}: "
+        if type(value) is list and value and type(value[0]) is dict:
+            head += "["
+            for item in value:
+                yield head + "\n  " + _text(item, "\n  ", templates)
+                head = ","
+            yield "\n ]"
+        else:
+            yield head + _text(value, "\n ", templates)
+        sep = ","
+    yield "\n}\n"
 
 
 def dumps(doc: dict) -> str:
     """The canonical serialization, whole."""
     return "".join(_canonical(doc))
-
-
-#: Chunks of the canonical text joined into each write of :func:`dump_path`: a
-#: chunk is one item of a document's list (a step, an entry), so a batch holds
-#: tens of KB at most.
-_WRITE_BATCH = 16
 
 
 def dump_path(path, doc: dict):
@@ -211,9 +191,7 @@ def dump_path(path, doc: dict):
     f = open(path, "w", encoding="utf-8")
     try:
         with f:  # inside the try: a close that cannot flush is a failed write too
-            chunks = _canonical(doc)
-            while batch := "".join(islice(chunks, _WRITE_BATCH)):
-                f.write(batch)
+            f.writelines(_canonical(doc))
     except BaseException:
         remove_file(path)
         raise

@@ -17,7 +17,7 @@ or at a completion window's.  Bounds derived from eps and a size stay
 where they are computed: ``completion.analyze``'s rank cut
 |E| * eps * max(w), the two margins of
 ``ncpoly._GramProblem.separating_witness`` and the CGLS stop
-||J^T r||^2 <= eps * ||J^T r_0||^2 of ``ncpoly._gauss_newton_step``.
+||J^T r||^2 <= eps * ||J^T r_0||^2 of ``ncpoly._gauss_newton_polish``.
 """
 
 from __future__ import annotations
@@ -153,15 +153,11 @@ def pinv(A) -> np.ndarray:
     return np.linalg.pinv(as_matrix(A), rcond=RANK_EPS)
 
 
-def psd_project(A) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix: eigenvalues clipped at zero."""
-    M = as_matrix(A)
-    _check_hermitian(M)
-    return _psd_clip((M + M.conj().T) / 2.0)
-
-
 def _psd_clip(M: np.ndarray) -> np.ndarray:
-    """:func:`psd_project` of an exactly Hermitian array, unchecked."""
+    """The nearest (Frobenius) PSD matrix to an exactly Hermitian array, unchecked.
+
+    Its eigenvalues clipped at zero: the PSD projection of ``factor_sos``'s Dykstra steps.
+    """
     w, V = np.linalg.eigh(M)
     P = (V * np.maximum(w, 0.0)) @ V.conj().T
     return (P + P.conj().T) / 2.0

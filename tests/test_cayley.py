@@ -1,15 +1,17 @@
 import itertools
+from dataclasses import dataclass
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freepd.cayley import EdgePredicate, clique_C, distance, sigma_set, tree_median
+from freepd.cayley import clique_C, distance, sigma_set, tree_median
 from freepd.words import (
     E,
     ClassCursor,
     GroupContext,
+    Word,
     ball,
     class_rep,
     classes_up_to,
@@ -26,6 +28,24 @@ contexts = st.sampled_from((1, 2, 3)).flatmap(
 )
 
 property_test = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@dataclass(frozen=True)
+class EdgePredicate:
+    """Edge test for the graph with class cutoff ``cutoff``.
+
+    {s, t} is an edge iff s != t and the class of s^-1 t is at most the
+    cutoff.  Translation invariant by construction.
+    """
+
+    cutoff: ClassCursor
+
+    def __call__(self, s: Word, t: Word) -> bool:
+        if s == t:
+            return False
+        ctx = self.cutoff.ctx
+        diff = class_rep(mul(inverse(s), t), ctx)
+        return ctx.sort_key(diff) <= self.cutoff.key()
 
 
 def cutoff_graph(words, nu):

@@ -80,3 +80,22 @@ def test_readme_tolerance_table_lists_exactly_the_thresholds():
     expected = {"Tolerance.psd_eps": linalg.Tolerance.psd_eps}
     expected.update((name, value) for name, value in vars(linalg).items() if type(value) is float)
     assert documented == expected
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to export; every other module reads each name it imports
+    package = Path(freepd.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno}: {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for name in (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            if name not in used
+        ]
+    assert unused == []
