@@ -226,9 +226,9 @@ def complete(
 
     The entry is central + F_k* gamma F_l, and :func:`extract_gamma` inverts
     it; gamma = 0 gives the central (maximum-entropy-like) completion, and
-    ``P.completed_with`` forms the completed matrix.  Overshoots of the unit
-    norm up to ``GAMMA_NORM_SLACK`` are renormalized silently, anything
-    larger is an error.
+    ``P.completed_with`` forms the completed matrix.  The one norm rule, for
+    every extension step and replay: overshoots of the unit norm up to
+    ``GAMMA_NORM_SLACK`` are renormalized silently, anything larger is an error.
     """
     dd = analyze(P, tol)
     g = _coerce_gamma(gamma, dd.gamma_shape)

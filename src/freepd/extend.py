@@ -25,7 +25,6 @@ from .completion import (
     DefectData,
     ContractionNormError,
     PartialBlockMatrix,
-    _coerce_gamma,
     analyze,
     complete,
     extract_gamma,
@@ -55,7 +54,7 @@ def oracle_from_params(params: Mapping[ClassCursor, np.ndarray]) -> ParamOracle:
 
     def oracle(cursor: ClassCursor, defects: DefectData) -> np.ndarray:
         try:
-            return np.asarray(params[cursor], dtype=complex)
+            return params[cursor]
         except KeyError:
             raise KeyError(f"no recorded parameter for the class of {cursor.rep}") from None
 
@@ -75,7 +74,7 @@ class ExtensionStep:
 
 @dataclass(frozen=True)
 class ExtensionTrace:
-    """Audit log of an extension run; replaying it is bit-exact."""
+    """Audit log of an extension run, each parameter as its oracle chose it; replaying it is bit-exact."""
 
     ctx: GroupContext
     k: int
@@ -129,8 +128,8 @@ def params_from_json(doc: dict) -> tuple[GroupContext, int, int, int, dict[Class
     """The contraction sequence of a ``params.v1`` document or of a ``trace.v1``.
 
     A trace's sequence is its ``gamma`` column: it starts at ``start_n`` and
-    ends at its longest class.  Its parameters are the ones the run used, so
-    replaying it reproduces the run bit for bit; a ``params.v1`` file holds
+    ends at its longest class.  Its parameters are the ones the run's oracle
+    chose, so replaying it reproduces the run bit for bit; ``params.v1`` holds
     re-extracted parameters and replays to rounding.
     """
     trace = doc.get("schema") == "trace.v1"
@@ -186,9 +185,9 @@ def extend_to_ball(
     The oracle chooses the contraction parameter at each class; with
     :func:`zero_oracle` this is the central extension.  Each step fills
     central + F_e* gamma F_s at s_nu (its adjoint at the inverse follows),
-    keeping the function positive definite on the grown ideal.  The run is
-    recorded in a trace whose replay (via :func:`oracle_from_params`)
-    reproduces the output bit-for-bit.
+    keeping the function positive definite on the grown ideal.  Only
+    :func:`complete` applies the norm rule, and the trace records each answer
+    in its step's shape, so its replay reproduces the output bit for bit.
     """
     n = phi.ball_radius()
     if N < n:
@@ -208,10 +207,11 @@ def extend_to_ball(
             P = _window(values, _pair_last(index, clique, cursor.rep))
             defects = analyze(P, tol)
             try:
-                gamma = _coerce_gamma(oracle(cursor, defects), defects.gamma_shape)
+                gamma = oracle(cursor, defects)
+                values.put(i, complete(P, gamma, tol))
             except ContractionNormError as exc:
                 raise ContractionNormError(f"oracle at class {cursor.rep}: {exc}") from None
-            values.put(i, complete(P, gamma, tol))
+            gamma = np.asarray(gamma, dtype=complex).reshape(defects.gamma_shape)
             steps.append(ExtensionStep(cursor, tuple(clique), defects.central, gamma, values.blocks[i]))
     ext = PdFunction._of_table(ctx, k, BallDomain(N), values)
     return ext, ExtensionTrace(ctx=ctx, k=k, start_n=n, steps=tuple(steps))

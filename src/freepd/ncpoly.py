@@ -506,9 +506,9 @@ def factor_sos(
             affine_gap = prob.affine_gap(F)
             psd_gap = max(0.0, -float(np.linalg.eigvalsh(X).min()))
             if affine_gap <= tol / 10 and psd_gap <= tol / 10:
-                B = gram_factor(Y)
-                if prob.affine_gap(prob.residual(B.conj().T @ B)) <= tol:
-                    return _certificate(prob, p.ctx.m, B, it)
+                cert = _certificate(prob, p.ctx.m, gram_factor(Y), it)
+                if cert.residual <= tol:
+                    return cert
             found = prob.separating_witness(F)
             if found is not None:
                 break

@@ -24,6 +24,7 @@ from freepd.pdfun import gram, pdfunction_from_json
 from freepd.quasimult import haagerup
 from freepd.sampling import random_pd_function
 from freepd.words import E, GroupContext, ball, inverse
+from test_extend import boundary_params
 
 
 def assert_bad_input(code, err):
@@ -200,6 +201,22 @@ def test_extend_params_replays_a_trace_byte_for_byte(tmp_path, capfd):
         code, _, _ = run(capfd, "extend", str(source), "--to", to, "--params", str(trace), "-o", str(replay))
         assert code == 0
         assert replay.read_bytes() == ext.read_bytes()
+
+
+def test_extend_params_replays_a_trace_byte_for_byte_at_the_norm_boundary(tmp_path, capfd):
+    # parameters of norm 1 + 1e-12 are scaled back once in the run and once
+    # in the replay of its trace, so the two write the same bytes
+    source, params, trace, ext, replay = (
+        tmp_path / f"{name}.json" for name in ("source", "params", "trace", "ext", "replay")
+    )
+    for seed in range(30):
+        phi, gammas = boundary_params(seed)
+        jsonio.dump_path(source, phi.to_json_dict())
+        jsonio.dump_path(params, params_to_json(phi.ctx, 2, 2, 3, gammas))
+        extend = ("extend", str(source), "--to", "3", "--params")
+        assert run(capfd, *extend, str(params), "--trace", str(trace), "-o", str(ext))[0] == 0
+        assert run(capfd, *extend, str(trace), "-o", str(replay))[0] == 0
+        assert replay.read_bytes() == ext.read_bytes(), seed
 
 
 def test_trace_from_another_radius_or_context_is_bad_input(tmp_path, capfd):

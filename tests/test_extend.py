@@ -14,7 +14,7 @@ from freepd.completion import (
     analyze,
     extract_gamma,
 )
-from freepd.linalg import Tolerance
+from freepd.linalg import Tolerance, _renormalized
 from freepd.extend import (
     check_max_orthogonal,
     extend_to_ball,
@@ -116,6 +116,71 @@ def test_trace_replay_is_bit_exact():
     out, trace = extend_to_ball(phi, 3, random_gamma_oracle(seed=5))
     replay, _ = extend_to_ball(phi, 3, oracle_from_params(trace.params()))
     assert replay == out  # exact array equality, not approximate
+
+
+def boundary_params(seed: int) -> tuple[PdFunction, dict[ClassCursor, np.ndarray]]:
+    """An F_2 k=2 function on S_2 and parameters for its S_3 classes.
+
+    Each parameter has norm 0.5 but the last two, of norm 1 + 1e-12: the
+    norm rule scales those back to norm 1, and scaling back is not
+    idempotent, so a second pass may change their last bits.
+    """
+    phi = random_pd_function(CTX2, 2, 2, np.random.default_rng(seed))
+    rng = np.random.default_rng(1000 + seed)
+    cursors = list(WordIndex(CTX2, 3).classes(3))
+    params = {}
+    for i, cursor in enumerate(cursors):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        params[cursor] = g * ((1 + 1e-12 if i >= len(cursors) - 2 else 0.5) / np.linalg.norm(g, 2))
+    return phi, params
+
+
+def test_a_trace_replays_bit_for_bit_at_the_norm_boundary():
+    # the trace holds the parameters its oracle chose, and its replay
+    # applies complete's norm rule to them once, as the run did
+    for seed in range(30):
+        phi, params = boundary_params(seed)
+        out, trace = extend_to_ball(phi, 3, oracle_from_params(params))
+        *_, recorded = params_from_json(trace.to_json_dict())
+        replay, _ = extend_to_ball(phi, 3, oracle_from_params(recorded))
+        assert replay == out, seed
+
+
+def test_each_step_checks_its_parameter_norm_once():
+    phi = random_pd_function(CTX2, 1, 2, np.random.default_rng(0))
+    with mock.patch("freepd.completion._renormalized", wraps=_renormalized) as checks:
+        _, trace = extend_to_ball(phi, 4, random_gamma_oracle(0))
+    assert checks.call_count == len(trace.steps) == 72
+
+
+def test_the_trace_records_each_parameter_in_its_steps_shape():
+    # an oracle may answer a (1, 1) step with a scalar, an empty step with a
+    # (0, 0) array and any step with nested lists; the trace holds each in
+    # the step's shape, and its file replays bit for bit
+    phi = random_pd_function(GroupContext(3), 1, 1, np.random.default_rng(0))
+    draw = random_gamma_oracle(0)
+    shapes, forms = [], set()
+
+    def oracle(cursor, dd):
+        shapes.append(dd.gamma_shape)
+        g = draw(cursor, dd)
+        if 0 in dd.gamma_shape:
+            form, answer = dd.gamma_shape, np.zeros((0, 0))
+        elif len(shapes) % 2:
+            form, answer = "scalar", np.asarray(g[0, 0])
+        else:
+            form, answer = "list", g.tolist()
+        forms.add(form)
+        return answer
+
+    out, trace = extend_to_ball(phi, 4, oracle)
+    assert forms == {"scalar", "list", (0, 1), (1, 0)}
+    assert [step.gamma.shape for step in trace.steps] == shapes
+    doc = json.loads(jsonio.dumps(trace.to_json_dict()))
+    assert doc["schema"] == "trace.v1"
+    *_, params = params_from_json(doc)
+    replay, _ = extend_to_ball(phi, 4, oracle_from_params(params))
+    assert replay == out
 
 
 def _owner(a: np.ndarray) -> np.ndarray:
